@@ -9,10 +9,11 @@ maxima, and step-by-step growth reports for a given pull.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
-from pullcalc import kernel, words
+from pullcalc import kernel, treewalk, words
 from pullcalc.rationals import ExtRational, apply_turn_rule
 from pullcalc.treewalk import LayerCounts
 from pullcalc.words import TurnWord
@@ -73,12 +74,11 @@ def cw_row(n: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> RowListing:
         raise ValueError("row %d is beyond the depth cap of %d" % (n, depth_cap))
     row = [ExtRational(1, 1)]
     for _ in range(n - 1):
-        children = []
-        for q in row:
-            a, b = q.num, q.den
-            children.append(ExtRational(a, a + b))
-            children.append(ExtRational(a + b, b))
-        row = children
+        row = [
+            child
+            for q in row
+            for child in (apply_turn_rule(q, words.L), apply_turn_rule(q, words.R))
+        ]
     return RowListing(depth=n, entries=tuple(row))
 
 
@@ -110,8 +110,11 @@ def max_total_layers(n: int, mode: str = "closed-form"):
         raise ValueError("unknown mode %r" % mode)
     if n > BRUTE_FORCE_CAP:
         raise ValueError("brute force is capped at %d turns" % BRUTE_FORCE_CAP)
-    best, bits = kernel.brute_max_total(n)
-    witness = tuple((bits >> (n - 1 - k)) & 1 for k in range(n))
+    best, witness = 1, ()
+    for word in itertools.product((words.R, words.L), repeat=n):
+        a, b = kernel.fold_turns(word)
+        if a + b > best:
+            best, witness = a + b, word
     return best, witness
 
 
@@ -122,11 +125,9 @@ def effectiveness_report(word: Sequence[int]) -> List[EffectivenessRow]:
     ratio); each later ratio is total_k / total_{k-1} as an exact
     fraction.
     """
-    q = ExtRational(0, 1)
     rows = [EffectivenessRow(0, 1, None)]
     previous = 1
-    for k, t in enumerate(word, start=1):
-        q = apply_turn_rule(q, t)
+    for k, q in enumerate(treewalk.number_trace(word)[1:], start=1):
         total = abs(q.num) + q.den
         rows.append(EffectivenessRow(k, total, ExtRational(total, previous)))
         previous = total

@@ -139,11 +139,12 @@ def _cmd_layers(args) -> int:
 def _cmd_cf(args) -> int:
     try:
         q = parse_fraction(args.value)
-        coeffs = cf_expand(q)
     except ValueError:
         word = words.parse_word(args.value)
         coeffs = treewalk.word_to_cf(word)
         q = treewalk.taffy_number(word)
+    else:
+        coeffs = cf_expand(q)
     if args.json:
         print(json.dumps({"coefficients": list(coeffs), "value": _frac(q)}))
     else:

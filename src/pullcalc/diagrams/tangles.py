@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .. import words
 from ..rationals import ExtRational, cf_eval
 from ..treewalk import word_to_cf
+from .taffy import _fmt
 
 TWIST_CODES = {"V": 0, "H": 1}
 TWIST_LETTERS = ("V", "H")
@@ -102,12 +103,6 @@ def _mid_speed(bez) -> float:
     dx = 0.75 * (p1[0] - p0[0]) + 1.5 * (p2[0] - p1[0]) + 0.75 * (p3[0] - p2[0])
     dy = 0.75 * (p1[1] - p0[1]) + 1.5 * (p2[1] - p1[1]) + 0.75 * (p3[1] - p2[1])
     return (dx * dx + dy * dy) ** 0.5
-
-
-def _fmt(v: float) -> str:
-    s = "%.2f" % v
-    s = s.rstrip("0").rstrip(".")
-    return "0" if s in ("-0", "") else s
 
 
 def render_tangle_svg(

@@ -1,24 +1,48 @@
-"""Kernel selection: the compiled extension when present, else pure Python.
+"""The four turn rules, folded over words of raw turn codes.
 
-Set PULLCALC_PURE=1 in the environment to force the pure fallback (the
-benchmark and the parity tests both do).  Import either way; the public
-interfaces never change shape.
+R sends a/b to (a+b)/b, L sends it to a/(a+b), and the reverse turns
+subtract instead.  This module is the only place those rules are
+written out; every other fold in the package goes through
+``fold_turns``.  Seeds are assumed to be in lowest terms; the four
+rules preserve the gcd, so the results are too.
 """
 
 from __future__ import annotations
 
-import os
 
-if os.environ.get("PULLCALC_PURE"):
-    from pullcalc import _purekernel as _impl
-else:
-    try:
-        from pullcalc import _speedups as _impl  # type: ignore
-    except ImportError:
-        from pullcalc import _purekernel as _impl
+def fold_turns(word, num=0, den=1):
+    """Fold the turn rules over ``word`` starting from num/den.
 
-USING_COMPILED = _impl.__name__.endswith("_speedups")
+    Returns the final (num, den) pair with the denominator sign
+    normalized and any n/0 collapsed to 1/0.
+    """
+    a, b = num, den
+    for t in word:
+        if t == 0:
+            a = a + b
+        elif t == 1:
+            b = a + b
+        elif t == 2:
+            a = a - b
+        elif t == 3:
+            b = b - a
+        else:
+            raise ValueError("bad turn code %r" % (t,))
+        if b < 0:
+            a, b = -a, -b
+        elif b == 0:
+            a = 1
+    return a, b
 
-fold_turns = _impl.fold_turns
-reduce_turns = _impl.reduce_turns
-brute_max_total = _impl.brute_max_total
+
+def reduce_turns(word):
+    """Freely reduce a word: drop every adjacent turn/inverse pair."""
+    out = []
+    for t in word:
+        if t not in (0, 1, 2, 3):
+            raise ValueError("bad turn code %r" % (t,))
+        if out and out[-1] == t ^ 2:
+            out.pop()
+        else:
+            out.append(t)
+    return tuple(out)

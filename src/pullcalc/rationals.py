@@ -12,6 +12,8 @@ import math
 import re
 from typing import Iterable, Sequence
 
+from pullcalc import kernel
+
 ContinuedFraction = tuple  # tuple[int, ...]
 
 _FRACTION_RE = re.compile(r"\s*(-?\d+)(?:/(\d+))?\s*\Z")
@@ -81,23 +83,12 @@ def parse_fraction(text: str) -> ExtRational:
 
 
 def apply_turn_rule(q: ExtRational, turn: int) -> ExtRational:
-    """One step of the four-way walk from q.
+    """One step of the four-way walk from q, by ``kernel.fold_turns``.
 
-    R sends a/b to (a+b)/b, L to a/(a+b), and the reverse turns
-    subtract instead.  Normalization keeps the result in lowest terms
-    with a non-negative denominator; at 1/0 both R rules are fixed
-    points and the L rules step to +-1/1.
+    The result is in lowest terms with a non-negative denominator; at
+    1/0 both R rules are fixed points and the L rules step to +-1/1.
     """
-    a, b = q.num, q.den
-    if turn == 0:
-        return ExtRational(a + b, b)
-    if turn == 1:
-        return ExtRational(a, a + b)
-    if turn == 2:
-        return ExtRational(a - b, b)
-    if turn == 3:
-        return ExtRational(a, b - a)
-    raise ValueError("bad turn code %r" % (turn,))
+    return ExtRational(*kernel.fold_turns((turn,), q.num, q.den))
 
 
 def neg_recip(q: ExtRational) -> ExtRational:

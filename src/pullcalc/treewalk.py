@@ -84,6 +84,22 @@ def word_to_cf(word: Sequence[int]) -> tuple:
     return tuple(reversed(runs))
 
 
+def _subtractive_walk(a: int, b: int):
+    """Subtractive Euclid from coprime a, b >= 0 down to the seed 0/1.
+
+    Yields (a, b, turn) before each step: L when a < b (b loses a),
+    R otherwise (a loses b).  It works on plain integers rather than
+    ExtRational, so no step pays for a gcd.
+    """
+    while (a, b) != (0, 1):
+        if a < b:
+            yield a, b, L
+            b -= a
+        else:
+            yield a, b, R
+            a -= b
+
+
 def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     """The unique canonical word whose taffy number is q.
 
@@ -100,15 +116,7 @@ def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
         return INITIAL
     a, b = abs(q.num), q.den
     if mode == "slow":
-        trail = []
-        while (a, b) != (0, 1):
-            if a < b:
-                trail.append(L)
-                b -= a
-            else:
-                trail.append(R)
-                a -= b
-        word = tuple(reversed(trail))
+        word = tuple(reversed([turn for _, _, turn in _subtractive_walk(a, b)]))
     elif mode == "fast":
         coeffs = list(cf_expand(ExtRational(a, b)))
         if len(coeffs) % 2 == 0:
@@ -194,16 +202,6 @@ def canonicalize_rewrite(word: Sequence[int]) -> CanonicalClass:
     return c
 
 
-def rewrite_trace(word: Sequence[int]) -> List[CanonicalClass]:
-    """Every intermediate class of the rewriting pass, seed first."""
-    c = INITIAL
-    trace = [c]
-    for t in word:
-        c = append_turn(c, t)
-        trace.append(c)
-    return trace
-
-
 def equivalent(w1: Sequence[int], w2: Sequence[int]) -> bool:
     """Do two pulls produce the same taffy?"""
     return taffy_number(w1) == taffy_number(w2)
@@ -218,13 +216,7 @@ def slow_euclid_trace(q: ExtRational) -> List[TraceStep]:
     """
     if q.den == 0 or q.num <= 0:
         raise ValueError("the subtractive walk needs a positive finite fraction")
-    steps = []
-    a, b = q.num, q.den
-    while (a, b) != (0, 1):
-        if a < b:
-            steps.append(TraceStep(ExtRational(a, b), "L"))
-            b -= a
-        else:
-            steps.append(TraceStep(ExtRational(a, b), "R"))
-            a -= b
-    return steps
+    return [
+        TraceStep(ExtRational(a, b), "R" if turn == R else "L")
+        for a, b, turn in _subtractive_walk(q.num, q.den)
+    ]

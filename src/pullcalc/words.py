@@ -2,8 +2,7 @@
 
 A pull is a finite sequence of quarter-turns of the three-peg frame: a
 right turn, a left turn, or the reverse of either.  Words are plain
-tuples of the codes below so that the compiled kernel can walk them
-without boxing anything.
+tuples of the small integer codes below.
 
 The code arithmetic is load-bearing: ``t ^ 2`` is the inverse turn and
 ``t & 1`` is the letter (0 for the R family, 1 for the L family).

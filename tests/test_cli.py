@@ -98,6 +98,20 @@ def test_cf_of_a_word(capsys):
     assert out.strip() == "[0; 1, 1, 1, 0]"
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("-3/4", "negative fractions have no canonical expansion here"),
+        ("1/0", "1/0 has no expansion"),
+    ],
+)
+def test_cf_reports_why_a_fraction_has_no_expansion(capsys, value, message):
+    code, out, err = run(capsys, "cf", value)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_tree_row(capsys):
     _, out, _ = run(capsys, "tree", "3")
     assert out.split() == ["1/3", "3/2", "2/3", "3/1"]

@@ -1,125 +1,21 @@
-import os
-import random
-import subprocess
-import sys
-
 import pytest
 
-from pullcalc import _purekernel as pure
 from pullcalc import kernel
 
-try:
-    from pullcalc import _speedups as compiled
-except ImportError:
-    compiled = None
 
-needs_compiled = pytest.mark.skipif(compiled is None, reason="extension not built")
+def test_fold_turns_empty_word_returns_the_seed():
+    assert kernel.fold_turns(()) == (0, 1)
+    assert kernel.fold_turns((), 5, 7) == (5, 7)
 
 
-def random_word(rng, length):
-    return tuple(rng.randrange(4) for _ in range(length))
-
-
-# --- parity -------------------------------------------------------------------
-
-@needs_compiled
-def test_fold_turns_parity():
-    rng = random.Random(4242)
-    for _ in range(500):
-        word = random_word(rng, rng.randrange(0, 40))
-        assert compiled.fold_turns(word) == pure.fold_turns(word)
-
-
-@needs_compiled
-def test_fold_turns_parity_past_int64():
-    # 120 alternating turns push the pair to Fibonacci numbers far
-    # beyond 2**63; the extension has to notice and switch over.
-    word = (0, 1) * 60
-    a, b = compiled.fold_turns(word)
-    assert (a, b) == pure.fold_turns(word)
-    assert max(a, b).bit_length() > 80
-
-
-@needs_compiled
-def test_fold_turns_parity_with_a_huge_seed():
-    seed = (10**30 + 1, 10**30)
-    word = (0, 1, 0, 2, 3)
-    assert compiled.fold_turns(word, *seed) == pure.fold_turns(word, *seed)
-
-
-@needs_compiled
-def test_fold_turns_parity_near_the_switch():
-    # straddle the cutover: start just below the guard value
-    near = (1 << 61) - 3
-    for word in [(0,), (1,), (0, 1, 0, 1), (2, 3) * 5]:
-        assert compiled.fold_turns(word, near, near - 1) == pure.fold_turns(
-            word, near, near - 1
-        )
-
-
-@needs_compiled
-def test_reduce_turns_parity():
-    rng = random.Random(77)
-    for _ in range(500):
-        word = random_word(rng, rng.randrange(0, 60))
-        assert compiled.reduce_turns(word) == pure.reduce_turns(word)
-
-
-@needs_compiled
-def test_brute_max_total_parity():
-    for n in range(11):
-        assert compiled.brute_max_total(n) == pure.brute_max_total(n)
-
-
-# --- shared semantics -----------------------------------------------------------
-
-@pytest.mark.parametrize("impl", [pure] + ([compiled] if compiled else []))
-def test_fold_turns_empty_word_returns_the_seed(impl):
-    assert impl.fold_turns(()) == (0, 1)
-    assert impl.fold_turns((), 5, 7) == (5, 7)
-
-
-@pytest.mark.parametrize("impl", [pure] + ([compiled] if compiled else []))
-def test_bad_turn_codes_are_rejected(impl):
+def test_bad_turn_codes_are_rejected():
     with pytest.raises(ValueError):
-        impl.fold_turns((0, 4))
+        kernel.fold_turns((0, 4))
     with pytest.raises(ValueError):
-        impl.reduce_turns((0, -1))
+        kernel.reduce_turns((0, -1))
 
 
-@pytest.mark.parametrize("impl", [pure] + ([compiled] if compiled else []))
-def test_reduce_turns_cancels_pairs(impl):
-    assert impl.reduce_turns((0, 2)) == ()
-    assert impl.reduce_turns((0, 1, 3, 2)) == ()
-    assert impl.reduce_turns((0, 0, 3)) == (0, 0, 3)
-
-
-# --- selection -------------------------------------------------------------------
-
-def _probe(env_value):
-    env = dict(os.environ)
-    env.pop("PULLCALC_PURE", None)
-    if env_value is not None:
-        env["PULLCALC_PURE"] = env_value
-    out = subprocess.run(
-        [sys.executable, "-c", "import pullcalc.kernel as k; print(k.USING_COMPILED)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_pure_override_wins():
-    assert _probe("1") == "False"
-
-
-@needs_compiled
-def test_extension_is_the_default():
-    assert _probe(None) == "True"
-
-
-def test_selected_kernel_exports_the_trio():
-    for name in ("fold_turns", "reduce_turns", "brute_max_total"):
-        assert callable(getattr(kernel, name))
+def test_reduce_turns_cancels_pairs():
+    assert kernel.reduce_turns((0, 2)) == ()
+    assert kernel.reduce_turns((0, 1, 3, 2)) == ()
+    assert kernel.reduce_turns((0, 0, 3)) == (0, 0, 3)
