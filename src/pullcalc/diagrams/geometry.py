@@ -1,16 +1,16 @@
-"""Flat drawable pieces and the exact-ish predicates the verifier needs.
+"""Flat drawable pieces and the exact predicates the verifier needs.
 
 Two piece kinds are enough for every diagram here: straight segments
 and half circles (always a full semicircle, bulging either west or
-east).  Intersection tests work with a small absolute tolerance; the
-builders only ever produce coordinates on the half-integer grid, so
-there is no real numeric danger, but hand-built diagrams get sensible
-answers too.
+east).  The predicates are exact on the integer grid: given pieces
+with int coordinates and radii they use only ``+ - *`` and
+comparisons, so every decision is a sign test with no tolerance.
+Contacts involving an arc can lie at irrational points; ``_sign``
+decides the sign of ``u + v*sqrt(D)`` from the integers alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 Point = tuple  # (x, y)
@@ -43,45 +43,34 @@ def half_circle(center, radius, side, start_at_top=True) -> HalfCircle:
     return HalfCircle(center, radius, side, bottom, top)
 
 
-def dist(a: Point, b: Point) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def reverse_piece(piece):
     if isinstance(piece, Segment):
         return Segment(piece.end, piece.start)
     return HalfCircle(piece.center, piece.radius, piece.side, piece.end, piece.start)
 
 
-def _flip_side(side: str) -> str:
-    return "east" if side == "west" else "west"
+def _map_piece(piece, f, flip, size=None):
+    """Apply the point map f to a piece.
+
+    flip swaps an arc's bulge; size, when given, maps its radius
+    (the isometries leave it alone).
+    """
+    if isinstance(piece, Segment):
+        return Segment(f(piece.start), f(piece.end))
+    side = ("east" if piece.side == "west" else "west") if flip else piece.side
+    radius = size(piece.radius) if size else piece.radius
+    return HalfCircle(f(piece.center), radius, side, f(piece.start), f(piece.end))
 
 
 def reflect_piece_x(piece, axis: float):
     """Mirror across the vertical line x = axis."""
-
-    def f(p):
-        return (2.0 * axis - p[0], p[1])
-
-    if isinstance(piece, Segment):
-        return Segment(f(piece.start), f(piece.end))
-    return HalfCircle(
-        f(piece.center), piece.radius, _flip_side(piece.side), f(piece.start), f(piece.end)
-    )
+    return _map_piece(piece, lambda p: (2.0 * axis - p[0], p[1]), True)
 
 
 def rotate_piece_180(piece, center: Point):
     """Rotate half a turn about a point."""
     cx, cy = center
-
-    def f(p):
-        return (2.0 * cx - p[0], 2.0 * cy - p[1])
-
-    if isinstance(piece, Segment):
-        return Segment(f(piece.start), f(piece.end))
-    return HalfCircle(
-        f(piece.center), piece.radius, _flip_side(piece.side), f(piece.start), f(piece.end)
-    )
+    return _map_piece(piece, lambda p: (2.0 * cx - p[0], 2.0 * cy - p[1]), True)
 
 
 def bounding_box(piece):
@@ -96,143 +85,138 @@ def bounding_box(piece):
     return (cx, cy - r, cx + r, cy + r)
 
 
-def seg_point_distance(seg: Segment, p: Point) -> float:
-    (x1, y1), (x2, y2) = seg.start, seg.end
-    dx, dy = x2 - x1, y2 - y1
-    den = dx * dx + dy * dy
-    if den == 0.0:
-        return math.hypot(p[0] - x1, p[1] - y1)
-    t = ((p[0] - x1) * dx + (p[1] - y1) * dy) / den
-    t = min(1.0, max(0.0, t))
-    return math.hypot(p[0] - (x1 + t * dx), p[1] - (y1 + t * dy))
+def _sign(u, v, d) -> int:
+    """Sign of u + v*sqrt(d) for integers u, v and d >= 0."""
+    su = (u > 0) - (u < 0)
+    sv = (v > 0) - (v < 0) if d else 0
+    if su == sv or sv == 0:
+        return su
+    if su == 0:
+        return sv
+    gap = u * u - v * v * d
+    return su if gap > 0 else sv if gap < 0 else 0
 
 
-def piece_point_distance(piece, p: Point) -> float:
-    if isinstance(piece, Segment):
-        return seg_point_distance(piece, p)
-    cx, cy = piece.center
-    vx, vy = p[0] - cx, p[1] - cy
-    n = math.hypot(vx, vy)
-    on_half = vx <= 0.0 if piece.side == "west" else vx >= 0.0
-    if n > 0.0 and on_half:
-        return abs(n - piece.radius)
-    return min(dist(p, piece.start), dist(p, piece.end))
+def _on_side(side, u, v, d) -> bool:
+    """Is a point with x - cx of the sign of u + v*sqrt(d) on the drawn half?"""
+    s = _sign(u, v, d)
+    return s <= 0 if side == "west" else s >= 0
 
 
-def _on_half(arc: HalfCircle, p: Point, tol: float) -> bool:
-    if arc.side == "west":
-        return p[0] <= arc.center[0] + tol
-    return p[0] >= arc.center[0] - tol
+def comes_within(piece, p: Point, rho) -> bool:
+    """Is some point of the piece strictly closer than rho to p?"""
+    px, py = p
+    if isinstance(piece, HalfCircle):
+        (cx, cy), r = piece.center, piece.radius
+        vx, vy = px - cx, py - cy
+        on_half = vx <= 0 if piece.side == "west" else vx >= 0
+        if on_half:
+            n2 = vx * vx + vy * vy  # |sqrt(n2) - r| < rho
+            return n2 < (r + rho) ** 2 and (r < rho or n2 > (r - rho) ** 2)
+    else:
+        (x1, y1), (x2, y2) = piece.start, piece.end
+        dx, dy = x2 - x1, y2 - y1
+        wx, wy = px - x1, py - y1
+        dd = dx * dx + dy * dy
+        if 0 < wx * dx + wy * dy < dd:  # the foot lies inside the segment
+            return (dx * wy - dy * wx) ** 2 < rho * rho * dd
+    rr = rho * rho
+    return any((px - x) ** 2 + (py - y) ** 2 < rr for x, y in (piece.start, piece.end))
 
 
-def _seg_seg(a: Segment, b: Segment, tol: float):
+def _seg_seg(a: Segment, b: Segment):
     (x1, y1), (x2, y2) = a.start, a.end
     (x3, y3), (x4, y4) = b.start, b.end
     rx, ry = x2 - x1, y2 - y1
     sx, sy = x4 - x3, y4 - y3
-    qpx, qpy = x3 - x1, y3 - y1
-    rlen = math.hypot(rx, ry)
-    slen = math.hypot(sx, sy)
-    denom = rx * sy - ry * sx
-    if abs(denom) > tol * max(rlen * slen, 1e-12):
-        t = (qpx * sy - qpy * sx) / denom
-        u = (qpx * ry - qpy * rx) / denom
-        et = tol / max(rlen, tol)
-        eu = tol / max(slen, tol)
-        if -et <= t <= 1.0 + et and -eu <= u <= 1.0 + eu:
-            return [(x1 + t * rx, y1 + t * ry)], False
-        return [], False
-    # parallel lines: either disjoint or collinear
-    if abs(qpx * ry - qpy * rx) > tol * max(rlen, 1.0):
-        return [], False
-    rr = rx * rx + ry * ry
-    if rr <= tol * tol:
-        if seg_point_distance(b, a.start) <= tol:
-            return [a.start], False
-        return [], False
-    t0 = (qpx * rx + qpy * ry) / rr
-    t1 = t0 + (sx * rx + sy * ry) / rr
-    lo, hi = min(t0, t1), max(t0, t1)
-    eps = tol / math.sqrt(rr)
-    begin = max(0.0, lo)
-    end = min(1.0, hi)
-    if begin > end + eps:
-        return [], False
-    if end - begin <= eps:
-        tm = (begin + end) / 2.0
-        return [(x1 + tm * rx, y1 + tm * ry)], False
-    return [], True  # a shared sub-segment
+    if rx * sy != ry * sx:
+        # the lines meet in one point; it is on both segments unless
+        # some segment has both ends strictly on one side of the other
+        d1 = sx * (y1 - y3) - sy * (x1 - x3)
+        d2 = sx * (y2 - y3) - sy * (x2 - x3)
+        d3 = rx * (y3 - y1) - ry * (x3 - x1)
+        d4 = rx * (y4 - y1) - ry * (x4 - x1)
+        return int(d1 * d2 <= 0 and d3 * d4 <= 0), False
+    # parallel: collinear pieces meet where their boxes meet
+    if rx or ry:
+        if rx * (y3 - y1) != ry * (x3 - x1):
+            return 0, False
+    elif sx * (y1 - y3) != sy * (x1 - x3):
+        return 0, False
+    lo_x, hi_x = max(min(x1, x2), min(x3, x4)), min(max(x1, x2), max(x3, x4))
+    lo_y, hi_y = max(min(y1, y2), min(y3, y4)), min(max(y1, y2), max(y3, y4))
+    if lo_x > hi_x or lo_y > hi_y:
+        return 0, False
+    if lo_x == hi_x and lo_y == hi_y:
+        return 1, False
+    return 0, True  # a shared sub-segment
 
 
-def _seg_circle_points(seg: Segment, center: Point, radius: float, tol: float):
+def _seg_arc(seg: Segment, arc: HalfCircle):
     (x1, y1), (x2, y2) = seg.start, seg.end
+    (cx, cy), r = arc.center, arc.radius
     dx, dy = x2 - x1, y2 - y1
-    fx, fy = x1 - center[0], y1 - center[1]
+    fx, fy = x1 - cx, y1 - cy
     a = dx * dx + dy * dy
-    if a <= tol * tol:
-        if abs(math.hypot(fx, fy) - radius) <= tol:
-            return [seg.start]
-        return []
-    b = 2.0 * (fx * dx + fy * dy)
-    c = fx * fx + fy * fy - radius * radius
-    disc = b * b - 4.0 * a * c
-    scale = abs(b * b) + abs(4.0 * a * c) + 1.0
-    if disc < 0.0:
-        if disc < -tol * scale:
-            return []
-        disc = 0.0
-    sq = math.sqrt(disc)
-    eps = tol / math.sqrt(a)
-    pts = []
-    for t in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
-        if -eps <= t <= 1.0 + eps:
-            p = (x1 + t * dx, y1 + t * dy)
-            if not any(dist(p, q) <= tol for q in pts):
-                pts.append(p)
-    return pts
+    c = fx * fx + fy * fy - r * r
+    if a == 0:
+        return int(c == 0 and _on_side(arc.side, fx, 0, 0)), False
+    # seg(t) is on the circle at t = (-b +- sqrt(disc)) / a
+    b = fx * dx + fy * dy
+    disc = b * b - a * c
+    if disc < 0:
+        return 0, False
+    u = a * fx - b * dx  # a * (x - cx) = u +- dx * sqrt(disc)
+    count = 0
+    for s in (1, -1) if disc else (1,):
+        if (
+            _sign(-b, s, disc) >= 0  # t >= 0
+            and _sign(a + b, -s, disc) >= 0  # t <= 1
+            and _on_side(arc.side, u, s * dx, disc)
+        ):
+            count += 1
+    return count, False
 
 
-def _seg_arc(seg: Segment, arc: HalfCircle, tol: float):
-    pts = _seg_circle_points(seg, arc.center, arc.radius, tol)
-    return [p for p in pts if _on_half(arc, p, tol)], False
-
-
-def _arc_arc(a: HalfCircle, b: HalfCircle, tol: float):
-    (cx1, cy1), r1 = a.center, a.radius
-    (cx2, cy2), r2 = b.center, b.radius
-    d = math.hypot(cx2 - cx1, cy2 - cy1)
-    if d <= tol:
-        if abs(r1 - r2) > tol:
-            return [], False  # concentric, different radii
+def _arc_arc(a: HalfCircle, b: HalfCircle):
+    (x1, y1), r1 = a.center, a.radius
+    (x2, y2), r2 = b.center, b.radius
+    dx, dy = x2 - x1, y2 - y1
+    dd = dx * dx + dy * dy
+    if dd == 0:
+        if r1 != r2:
+            return 0, False  # concentric, different radii
         if a.side == b.side:
-            return [], True  # the very same semicircle
-        return [(cx1, cy1 + r1), (cx1, cy1 - r1)], False  # shared poles
-    if d > r1 + r2 + tol or d < abs(r1 - r2) - tol:
-        return [], False
-    aa = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    h2 = r1 * r1 - aa * aa
-    h = math.sqrt(max(h2, 0.0))
-    ux, uy = (cx2 - cx1) / d, (cy2 - cy1) / d
-    bx, by = cx1 + aa * ux, cy1 + aa * uy
-    cands = [(bx - h * uy, by + h * ux)]
-    if h > tol:
-        cands.append((bx + h * uy, by - h * ux))
-    pts = [p for p in cands if _on_half(a, p, tol) and _on_half(b, p, tol)]
-    return pts, False
+            return 0, True  # the very same semicircle
+        return 2, False  # shared poles
+    # contacts at x = x1 + (k * dx -+ dy * sqrt(h)) / (2 * dd)
+    k = r1 * r1 - r2 * r2 + dd
+    h = 4 * dd * r1 * r1 - k * k
+    if h < 0:
+        return 0, False
+    count = 0
+    for s in (1, -1) if h else (1,):
+        if _on_side(a.side, k * dx, -s * dy, h) and _on_side(
+            b.side, (k - 2 * dd) * dx, -s * dy, h
+        ):
+            count += 1
+    return count, False
 
 
-def piece_intersections(a, b, tol=1e-9):
-    """All contact points of two pieces, plus an overlap flag.
+def piece_intersections(a, b):
+    """Contacts of two pieces: (count, overlap).
 
-    The flag is set when the pieces share a whole sub-curve rather
-    than isolated points.
+    count is the number of isolated shared points; overlap is set when
+    the pieces share a whole sub-curve instead, and count is then 0.
+    The answer is exact for int coordinates and radii, which is what
+    verify_taffy passes in.
     """
     a_seg = isinstance(a, Segment)
     b_seg = isinstance(b, Segment)
     if a_seg and b_seg:
-        return _seg_seg(a, b, tol)
+        return _seg_seg(a, b)
     if a_seg:
-        return _seg_arc(a, b, tol)
+        return _seg_arc(a, b)
     if b_seg:
-        return _seg_arc(b, a, tol)
-    return _arc_arc(a, b, tol)
+        return _seg_arc(b, a)
+    return _arc_arc(a, b)

@@ -11,6 +11,7 @@ homework.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..rationals import ExtRational, neg_recip
@@ -18,11 +19,11 @@ from ..treewalk import LayerCounts
 from .geometry import (
     HalfCircle,
     Segment,
+    _map_piece,
     bounding_box,
-    dist,
+    comes_within,
     half_circle,
     piece_intersections,
-    piece_point_distance,
     reflect_piece_x,
     reverse_piece,
     rotate_piece_180,
@@ -220,16 +221,12 @@ def build_taffy(q: ExtRational) -> TaffyDiagram:
     core.  Either way the verifier re-measures the counts from
     scratch.
     """
-    right, left = abs(q.num), q.den
-    t = right + left
-    big_d = 2 * t + 6
+    if q.num < 0:
+        return rotate_taffy(build_taffy(neg_recip(q)))
+    right, left = q.num, q.den
+    big_d = 2 * (right + left) + 6
     pegs = ((0.0, 0.0), (float(big_d), 0.0), (2.0 * big_d, 0.0))
     counts = LayerCounts(right=right, left=left)
-    if q.num < 0:
-        base = build_taffy(neg_recip(q))
-        mid = base.pegs[1]
-        strand = tuple(rotate_piece_180(p, mid) for p in base.strand)
-        return TaffyDiagram(base.pegs, base.peg_radius, strand, counts)
     if right > left:
         core = _build_core(right, left)
         strand = tuple(reflect_piece_x(p, float(big_d)) for p in core)
@@ -247,7 +244,7 @@ def rotate_taffy(d: TaffyDiagram) -> TaffyDiagram:
     )
 
 
-def _crossings(pieces, line_x: float, tol: float) -> int:
+def _crossings(pieces, line_x) -> int:
     """Count transversal crossings of the vertical line x = line_x.
 
     Walk the strand pushing the sign of (x - line_x) at every sample
@@ -258,13 +255,8 @@ def _crossings(pieces, line_x: float, tol: float) -> int:
     signs = []
 
     def push(x):
-        if x > line_x + tol:
-            v = 1
-        elif x < line_x - tol:
-            v = -1
-        else:
-            return
-        if not signs or signs[-1] != v:
+        v = (x > line_x) - (x < line_x)
+        if v and (not signs or signs[-1] != v):
             signs.append(v)
 
     for piece in pieces:
@@ -276,65 +268,77 @@ def _crossings(pieces, line_x: float, tol: float) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _clear_of_pegs(pieces, pegs, rho: float) -> bool:
-    for piece in pieces:
-        for peg in pegs:
-            if piece_point_distance(piece, peg) < rho - 1e-6:
-                return False
-    return True
-
-
-def _no_self_crossings(pieces, tol: float) -> bool:
+def _no_self_crossings(pieces) -> bool:
     boxes = [bounding_box(p) for p in pieces]
     order = sorted(range(len(pieces)), key=lambda i: boxes[i][0])
     for oi, i in enumerate(order):
-        xmax = boxes[i][2] + tol
+        xmax = boxes[i][2]
         for j in order[oi + 1 :]:
             if boxes[j][0] > xmax:
                 break
-            if boxes[i][1] > boxes[j][3] + tol or boxes[j][1] > boxes[i][3] + tol:
+            if boxes[i][1] > boxes[j][3] or boxes[j][1] > boxes[i][3]:
                 continue
             a, b = (i, j) if i < j else (j, i)
-            pts, overlap = piece_intersections(pieces[a], pieces[b], tol)
+            count, overlap = piece_intersections(pieces[a], pieces[b])
             if overlap:
                 return False
-            if not pts:
+            if count == 0:
                 continue
-            if b == a + 1:
-                shared = pieces[a].end
-                if all(dist(p, shared) <= 1e-6 for p in pts):
-                    continue
+            if b == a + 1 and count == 1 and pieces[a].end == pieces[b].start:
+                continue  # only the shared joint
             return False
     return True
 
 
-def verify_taffy(diagram: TaffyDiagram, tol: float = 1e-9) -> TaffyReport:
-    """Re-measure a diagram and compare against its claimed counts."""
-    pieces = diagram.strand
-    pegs = sorted(diagram.pegs)
-    gl = (pegs[0][0] + pegs[1][0]) / 2.0
-    gr = (pegs[1][0] + pegs[2][0]) / 2.0
+def _on_grid(diagram: TaffyDiagram):
+    """Pegs, peg radius and strand scaled onto the integer grid."""
+    values = [v for peg in diagram.pegs for v in peg] + [diagram.peg_radius]
+    for piece in diagram.strand:
+        values.extend(piece.start + piece.end)
+        if isinstance(piece, HalfCircle):
+            values.extend(piece.center + (piece.radius,))
+    k = 2 * math.lcm(*{v.as_integer_ratio()[1] for v in values})
 
-    chained = bool(pieces) and all(
-        dist(a.end, b.start) <= tol for a, b in zip(pieces, pieces[1:])
-    )
-    is_open = bool(pieces) and dist(pieces[0].start, pieces[-1].end) > tol
+    def n(v):
+        num, den = v.as_integer_ratio()
+        return num * (k // den)
+
+    def f(p):
+        return (n(p[0]), n(p[1]))
+
+    pegs = sorted(f(peg) for peg in diagram.pegs)
+    pieces = [_map_piece(piece, f, False, n) for piece in diagram.strand]
+    return pegs, n(diagram.peg_radius), pieces
+
+
+def verify_taffy(diagram: TaffyDiagram) -> TaffyReport:
+    """Re-measure a diagram and compare against its claimed counts.
+
+    Every check is exact.  The pegs, the peg radius and every piece
+    are first multiplied by k = 2 * lcm of the denominators of their
+    coordinates and radii (floats are dyadic, so this is exact); the
+    factor 2 puts the gap lines, halfway between neighbouring pegs, on
+    the integer grid too.  From there every decision is a sign test on
+    Python ints.
+    """
+    pegs, rho, pieces = _on_grid(diagram)
+    gl = (pegs[0][0] + pegs[1][0]) // 2
+    gr = (pegs[1][0] + pegs[2][0]) // 2
+
+    chained = bool(pieces) and all(a.end == b.start for a, b in zip(pieces, pieces[1:]))
+    is_open = bool(pieces) and pieces[0].start != pieces[-1].end
     single_arc = chained and is_open
 
-    measured = LayerCounts(
-        right=_crossings(pieces, gr, tol), left=_crossings(pieces, gl, tol)
+    measured = LayerCounts(right=_crossings(pieces, gr), left=_crossings(pieces, gl))
+
+    ends_on_pegs = bool(pieces) and all(
+        any((e[0] - px) ** 2 + (e[1] - py) ** 2 == rho * rho for px, py in pegs)
+        for e in (pieces[0].start, pieces[-1].end)
     )
 
-    ends_on_pegs = False
-    if pieces:
-        ends_on_pegs = all(
-            any(abs(dist(e, peg) - diagram.peg_radius) <= 1e-6 for peg in pegs)
-            for e in (pieces[0].start, pieces[-1].end)
-        )
-
-    embedded = _clear_of_pegs(pieces, pegs, diagram.peg_radius) and _no_self_crossings(
-        pieces, tol
-    )
+    embedded = not any(
+        comes_within(piece, peg, rho) for piece in pieces for peg in pegs
+    ) and _no_self_crossings(pieces)
 
     return TaffyReport(
         expected=diagram.counts,

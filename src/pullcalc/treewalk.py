@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
 from pullcalc import kernel, words
-from pullcalc.rationals import ExtRational, apply_turn_rule, cf_expand, neg_recip
+from pullcalc.rationals import ExtRational, apply_turn_rule, cf_expand
 from pullcalc.words import L, L_INV, R, R_INV, TurnWord
 
 

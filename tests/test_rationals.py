@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from pullcalc import words
 from pullcalc.rationals import (
-    ExtRational,
     apply_turn_rule,
     cf_eval,
     cf_expand,

@@ -2,19 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pullcalc.diagrams.geometry import (
-    HalfCircle,
     Segment,
     bounding_box,
+    comes_within,
     half_circle,
     piece_intersections,
-    piece_point_distance,
     reflect_piece_x,
     rotate_piece_180,
 )
 from pullcalc.diagrams.taffy import (
     TaffyDiagram,
+    TaffyReport,
     build_taffy,
     render_taffy_svg,
     rotate_taffy,
@@ -31,41 +32,34 @@ def seg(x1, y1, x2, y2):
 # --- geometry helpers ---------------------------------------------------------
 
 def test_segment_intersections():
-    pts, overlap = piece_intersections(seg(0, 0, 4, 0), seg(2, -1, 2, 5))
-    assert not overlap
-    assert pts == [(2.0, 0.0)]
-    pts, overlap = piece_intersections(seg(0, 0, 4, 0), seg(5, -1, 5, 1))
-    assert pts == [] and not overlap
+    assert piece_intersections(seg(0, 0, 4, 0), seg(2, -1, 2, 5)) == (1, False)
+    assert piece_intersections(seg(0, 0, 4, 0), seg(5, -1, 5, 1)) == (0, False)
+    assert piece_intersections(seg(0, 0, 4, 0), seg(2, 1, 2, 5)) == (0, False)
     # collinear with a shared stretch
-    pts, overlap = piece_intersections(seg(0, 0, 4, 0), seg(2, 0, 6, 0))
-    assert overlap
+    assert piece_intersections(seg(0, 0, 4, 0), seg(2, 0, 6, 0)) == (0, True)
     # collinear, touching end to end
-    pts, overlap = piece_intersections(seg(0, 0, 4, 0), seg(4, 0, 9, 0))
-    assert not overlap
-    assert pts == [(4.0, 0.0)]
+    assert piece_intersections(seg(0, 0, 4, 0), seg(4, 0, 9, 0)) == (1, False)
 
 
 def test_segment_arc_intersections():
     arc = half_circle((0.0, 0.0), 2.0, "west")
-    pts, overlap = piece_intersections(seg(-5, 0, 5, 0), arc)
-    assert not overlap
-    assert pts == [(-2.0, 0.0)]  # the eastern root is off the drawn half
-    pts, _ = piece_intersections(seg(-5, 3, 5, 3), arc)
-    assert pts == []
-    pts, _ = piece_intersections(seg(-2, -5, -2, 5), arc)  # tangent at the bulge
-    assert len(pts) == 1 and math.isclose(pts[0][0], -2.0)
+    # only (-2, 0): the eastern root is off the drawn half
+    assert piece_intersections(seg(-5, 0, 5, 0), arc) == (1, False)
+    assert piece_intersections(seg(-5, 3, 5, 3), arc) == (0, False)
+    # tangent at the bulge
+    assert piece_intersections(seg(-2, -5, -2, 5), arc) == (1, False)
+    # crossing exactly at the top pole, which both halves share
+    east = half_circle((0.0, 0.0), 2.0, "east")
+    assert piece_intersections(seg(-1, 3, 1, 1), east) == (1, False)
 
 
 def test_arc_arc_intersections():
     a = half_circle((0.0, 0.0), 2.0, "west")
     b = half_circle((0.0, 0.0), 3.0, "west")
-    pts, overlap = piece_intersections(a, b)
-    assert pts == [] and not overlap  # nested rainbows never touch
-    pts, overlap = piece_intersections(a, half_circle((0.0, 0.0), 2.0, "west"))
-    assert overlap
-    pts, overlap = piece_intersections(a, half_circle((0.0, 0.0), 2.0, "east"))
-    assert not overlap
-    assert sorted(pts) == [(0.0, -2.0), (0.0, 2.0)]
+    assert piece_intersections(a, b) == (0, False)  # nested rainbows never touch
+    assert piece_intersections(a, half_circle((0.0, 0.0), 2.0, "west")) == (0, True)
+    # the two shared poles
+    assert piece_intersections(a, half_circle((0.0, 0.0), 2.0, "east")) == (2, False)
 
 
 def test_transforms_flip_the_bulge():
@@ -80,9 +74,21 @@ def test_transforms_flip_the_bulge():
 
 def test_piece_point_distance_respects_the_half():
     arc = half_circle((0.0, 0.0), 2.0, "west")
-    assert math.isclose(piece_point_distance(arc, (-4.0, 0.0)), 2.0)
-    # a probe on the undrawn side measures to the nearer endpoint
-    assert math.isclose(piece_point_distance(arc, (4.0, 0.0)), math.hypot(4, 2))
+    assert comes_within(arc, (-4.0, 0.0), 2 + 2**-20)
+    assert not comes_within(arc, (-4.0, 0.0), 2 - 2**-20)
+    # a probe on the undrawn side measures to the nearer endpoint, sqrt(20) away
+    assert comes_within(arc, (4.0, 0.0), math.sqrt(20) + 1e-9)
+    assert not comes_within(arc, (4.0, 0.0), math.sqrt(20) - 1e-9)
+
+
+def test_a_line_just_above_the_pole_misses_the_arc():
+    arc = half_circle((0.0, 0.0), 2.0, "west")
+    y = 2 + 2**-40
+    assert piece_intersections(seg(-5, y, 5, y), arc) == (0, False)
+
+
+def test_close_parallel_segments_do_not_meet():
+    assert piece_intersections(seg(0, 0, 4, 0), seg(0, 2**-40, 4, 2**-40)) == (0, False)
 
 
 # --- reconstruction -----------------------------------------------------------
@@ -205,6 +211,54 @@ def test_verify_measures_doubled_back_crossings():
     assert verify_taffy(d).measured.left == 3
 
 
+def test_verify_wants_the_end_exactly_on_the_peg():
+    short = hand_diagram(
+        [seg(0.5, 0, 6, 3), seg(6, 3, 7.5 - 2**-30, 0)], LayerCounts(right=0, left=1)
+    )
+    report = verify_taffy(short)
+    assert report.embedded
+    assert not report.ends_on_pegs
+    assert not report.passes
+
+
+def test_verify_rejects_an_end_poking_into_the_peg():
+    poking = hand_diagram(
+        [seg(0.5, 0, 6, 3), seg(6, 3, 7.5 + 2**-30, 0)], LayerCounts(right=0, left=1)
+    )
+    report = verify_taffy(poking)
+    assert not report.embedded
+    assert not report.ends_on_pegs
+    assert not report.passes
+
+
+def test_verify_accepts_a_strand_running_close_above_itself():
+    eps = 2**-32
+    d = hand_diagram(
+        [
+            seg(0.5, 0, 5, 0),
+            seg(5, 0, 5, 2),
+            seg(5, 2, 2, 2),
+            seg(2, 2, 2, eps),
+            seg(2, eps, 1, eps),  # eps above the first segment
+            seg(1, eps, 1, 3),
+            seg(1, 3, 7.5, 3),
+            seg(7.5, 3, 7.5, 0),
+        ],
+        LayerCounts(right=0, left=3),
+    )
+    report = verify_taffy(d)
+    assert report.measured == LayerCounts(right=0, left=3)
+    assert report.passes, report
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verify_refuses_a_non_finite_coordinate(bad):
+    # there is no grid step for such a point, so there is no report either
+    d = hand_diagram([seg(0.5, 0, bad, 0)], LayerCounts(right=0, left=1))
+    with pytest.raises((ValueError, OverflowError)):
+        verify_taffy(d)
+
+
 # --- rendering ------------------------------------------------------------------
 
 def test_render_taffy_svg_shape():
@@ -250,3 +304,52 @@ def test_random_fractions_round_trip_through_the_verifier():
         q = make(num, den)
         report = verify_taffy(build_taffy(q))
         assert report.passes, (q, report)
+
+
+# --- hand-built strands on the quarter grid ------------------------------------
+
+PEG_ENDS = [
+    (px + dx, dy) for px, _ in PEGS for dx, dy in ((0.5, 0), (-0.5, 0), (0, 0.5), (0, -0.5))
+]
+QUARTER_X = st.integers(-8, 72).map(lambda n: n / 4)
+QUARTER_Y = st.integers(-16, 16).map(lambda n: n / 4)
+
+
+@st.composite
+def quarter_grid_diagrams(draw):
+    """A chained strand of segments and arcs, often starting or ending on a peg."""
+    x, y = draw(st.one_of(st.sampled_from(PEG_ENDS), st.tuples(QUARTER_X, QUARTER_Y)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.booleans()):
+            nx, ny = draw(QUARTER_X), draw(QUARTER_Y)
+            pieces.append(seg(x, y, nx, ny))
+        else:
+            r = draw(st.integers(1, 16)) / 4
+            down = draw(st.booleans())
+            side = draw(st.sampled_from(("west", "east")))
+            arc = half_circle((x, y - r if down else y + r), r, side, start_at_top=down)
+            pieces.append(arc)
+            nx, ny = arc.end
+        x, y = nx, ny
+    if draw(st.booleans()):
+        pieces.append(seg(x, y, *draw(st.sampled_from(PEG_ENDS))))
+    counts = LayerCounts(right=draw(st.integers(0, 3)), left=draw(st.integers(0, 3)))
+    return hand_diagram(pieces, counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quarter_grid_diagrams())
+def test_rotation_swaps_the_counts_of_hand_built_strands(d):
+    report = verify_taffy(d)
+
+    def swap(c):
+        return LayerCounts(right=c.left, left=c.right)
+
+    assert verify_taffy(rotate_taffy(d)) == TaffyReport(
+        expected=swap(report.expected),
+        measured=swap(report.measured),
+        single_arc=report.single_arc,
+        ends_on_pegs=report.ends_on_pegs,
+        embedded=report.embedded,
+    )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pullcalc import treewalk, words
+from pullcalc import words
 from pullcalc.rationals import make, neg_recip
 from pullcalc.treewalk import (
     INFINITY,

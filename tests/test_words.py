@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pullcalc import words
 from pullcalc.words import (
     L,
     L_INV,
