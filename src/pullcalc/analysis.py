@@ -18,7 +18,7 @@ from pullcalc.rationals import ExtRational, apply_turn_rule
 from pullcalc.treewalk import LayerCounts
 from pullcalc.words import TurnWord
 
-DEFAULT_DEPTH_CAP = 25
+DEPTH_CAP = 25
 BRUTE_FORCE_CAP = 16
 
 
@@ -62,16 +62,16 @@ def alternating_layers(n: int) -> LayerCounts:
     return LayerCounts(right=fibonacci(n), left=fibonacci(n + 1))
 
 
-def cw_row(n: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> RowListing:
+def cw_row(n: int) -> RowListing:
     """Row n of the classical two-way tree rooted at 1/1.
 
-    Row sizes double, so a cap (default 25) guards against a typo'd
-    depth eating all the memory in sight.
+    Row sizes double, so rows past DEPTH_CAP (2**24 entries) are
+    refused rather than left to eat all the memory in sight.
     """
     if n < 1:
         raise ValueError("rows are numbered from 1")
-    if n > depth_cap:
-        raise ValueError("row %d is beyond the depth cap of %d" % (n, depth_cap))
+    if n > DEPTH_CAP:
+        raise ValueError("row %d is beyond the depth cap of %d" % (n, DEPTH_CAP))
     row = [ExtRational(1, 1)]
     for _ in range(n - 1):
         row = [

@@ -153,7 +153,7 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    listing = analysis.cw_row(args.row, depth_cap=args.depth)
+    listing = analysis.cw_row(args.row)
     if args.json:
         payload = {"depth": listing.depth, "entries": [str(q) for q in listing.entries]}
         print(json.dumps(payload))
@@ -275,9 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _accept_negative_fractions(p)
 
     p = sub.add_parser("tree", parents=[jsonish], help="one row of the Calkin-Wilf tree")
-    p.add_argument("row", type=int)
-    p.add_argument("--depth", type=int, default=analysis.DEFAULT_DEPTH_CAP,
-                   help="row cap (default %d)" % analysis.DEFAULT_DEPTH_CAP)
+    p.add_argument("row", type=int, help="row number, 1 to %d" % analysis.DEPTH_CAP)
     p.set_defaults(handler=_cmd_tree)
 
     p = sub.add_parser("children", parents=[jsonish], help="four-way tree children of a fraction")

@@ -24,42 +24,56 @@ class Segment:
 
 @dataclass(frozen=True)
 class HalfCircle:
+    """The west or east half of a circle, drawn from one pole to the other.
+
+    The ends are the poles of the circle, never stored on their own,
+    so an arc cannot claim ends its circle does not pass through.
+    """
+
     center: Point
     radius: float
     side: str  # "west" or "east": which half of the circle is drawn
-    start: Point
-    end: Point
+    start_at_top: bool = True
+
+    def __post_init__(self):
+        if self.side not in ("west", "east"):
+            raise ValueError("side must be 'west' or 'east'")
+        if not self.radius > 0:
+            raise ValueError("radius must be positive")
+
+    @property
+    def start(self) -> Point:
+        cx, cy = self.center
+        return (cx, cy + self.radius if self.start_at_top else cy - self.radius)
+
+    @property
+    def end(self) -> Point:
+        cx, cy = self.center
+        return (cx, cy - self.radius if self.start_at_top else cy + self.radius)
 
 
-def half_circle(center, radius, side, start_at_top=True) -> HalfCircle:
-    """A semicircle between the top and bottom points of its circle."""
-    if side not in ("west", "east"):
-        raise ValueError("side must be 'west' or 'east'")
-    cx, cy = center
-    top = (cx, cy + radius)
-    bottom = (cx, cy - radius)
-    if start_at_top:
-        return HalfCircle(center, radius, side, top, bottom)
-    return HalfCircle(center, radius, side, bottom, top)
+half_circle = HalfCircle
 
 
 def reverse_piece(piece):
     if isinstance(piece, Segment):
         return Segment(piece.end, piece.start)
-    return HalfCircle(piece.center, piece.radius, piece.side, piece.end, piece.start)
+    return HalfCircle(piece.center, piece.radius, piece.side, not piece.start_at_top)
 
 
 def _map_piece(piece, f, flip, size=None):
     """Apply the point map f to a piece.
 
     flip swaps an arc's bulge; size, when given, maps its radius
-    (the isometries leave it alone).
+    (the isometries leave it alone).  An arc keeps starting where f
+    sends its start.
     """
     if isinstance(piece, Segment):
         return Segment(f(piece.start), f(piece.end))
+    center = f(piece.center)
     side = ("east" if piece.side == "west" else "west") if flip else piece.side
     radius = size(piece.radius) if size else piece.radius
-    return HalfCircle(f(piece.center), radius, side, f(piece.start), f(piece.end))
+    return HalfCircle(center, radius, side, f(piece.start)[1] > center[1])
 
 
 def reflect_piece_x(piece, axis: float):

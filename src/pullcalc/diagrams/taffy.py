@@ -30,12 +30,13 @@ from .geometry import (
 )
 
 PEG_RADIUS = 0.5
+STRAND_GAP = 6.0  # SVG pixels per model unit, the spacing of neighbouring layers
+STROKE_WIDTH = 2.0
 
 
 @dataclass(frozen=True)
 class TaffyDiagram:
-    pegs: tuple  # three (x, y) centers, west to east
-    peg_radius: float
+    pegs: tuple  # three (x, y) centers, west to east, each of radius PEG_RADIUS
     strand: tuple  # drawable pieces in path order
     counts: LayerCounts
 
@@ -232,16 +233,14 @@ def build_taffy(q: ExtRational) -> TaffyDiagram:
         strand = tuple(reflect_piece_x(p, float(big_d)) for p in core)
     else:
         strand = _build_core(left, right)
-    return TaffyDiagram(pegs, PEG_RADIUS, strand, counts)
+    return TaffyDiagram(pegs, strand, counts)
 
 
 def rotate_taffy(d: TaffyDiagram) -> TaffyDiagram:
     """Half-turn about the middle peg; swaps the two layer counts."""
     mid = sorted(d.pegs)[1]
     strand = tuple(rotate_piece_180(p, mid) for p in d.strand)
-    return TaffyDiagram(
-        d.pegs, d.peg_radius, strand, LayerCounts(right=d.counts.left, left=d.counts.right)
-    )
+    return TaffyDiagram(d.pegs, strand, LayerCounts(right=d.counts.left, left=d.counts.right))
 
 
 def _crossings(pieces, line_x) -> int:
@@ -292,11 +291,12 @@ def _no_self_crossings(pieces) -> bool:
 
 def _on_grid(diagram: TaffyDiagram):
     """Pegs, peg radius and strand scaled onto the integer grid."""
-    values = [v for peg in diagram.pegs for v in peg] + [diagram.peg_radius]
+    values = [v for peg in diagram.pegs for v in peg] + [PEG_RADIUS]
     for piece in diagram.strand:
-        values.extend(piece.start + piece.end)
         if isinstance(piece, HalfCircle):
             values.extend(piece.center + (piece.radius,))
+        else:
+            values.extend(piece.start + piece.end)
     k = 2 * math.lcm(*{v.as_integer_ratio()[1] for v in values})
 
     def n(v):
@@ -308,7 +308,7 @@ def _on_grid(diagram: TaffyDiagram):
 
     pegs = sorted(f(peg) for peg in diagram.pegs)
     pieces = [_map_piece(piece, f, False, n) for piece in diagram.strand]
-    return pegs, n(diagram.peg_radius), pieces
+    return pegs, n(PEG_RADIUS), pieces
 
 
 def verify_taffy(diagram: TaffyDiagram) -> TaffyReport:
@@ -355,16 +355,10 @@ def _fmt(v: float) -> str:
     return "0" if s in ("-0", "") else s
 
 
-def render_taffy_svg(
-    diagram: TaffyDiagram,
-    strand_gap: float = 6.0,
-    stroke_width: float = 2.0,
-    scale: float = 1.0,
-) -> str:
+def render_taffy_svg(diagram: TaffyDiagram) -> str:
     """Draw a verified diagram as a standalone SVG document.
 
-    strand_gap is the pixel size of one model unit (the spacing
-    between neighbouring strand layers).  Refuses diagrams that do not
+    One model unit is STRAND_GAP pixels.  Refuses diagrams that do not
     pass verification.
     """
     report = verify_taffy(diagram)
@@ -381,23 +375,22 @@ def render_taffy_svg(
             )
         )
 
-    unit = strand_gap * scale
     pegs = sorted(diagram.pegs)
     boxes = [bounding_box(p) for p in diagram.strand]
-    xmin = min(min(b[0] for b in boxes), pegs[0][0] - diagram.peg_radius)
-    xmax = max(max(b[2] for b in boxes), pegs[2][0] + diagram.peg_radius)
-    ymin = min(min(b[1] for b in boxes), -diagram.peg_radius)
-    ymax = max(max(b[3] for b in boxes), diagram.peg_radius)
-    pad = max(2.0 * stroke_width, unit)
+    xmin = min(min(b[0] for b in boxes), pegs[0][0] - PEG_RADIUS)
+    xmax = max(max(b[2] for b in boxes), pegs[2][0] + PEG_RADIUS)
+    ymin = min(min(b[1] for b in boxes), -PEG_RADIUS)
+    ymax = max(max(b[3] for b in boxes), PEG_RADIUS)
+    pad = max(2.0 * STROKE_WIDTH, STRAND_GAP)
 
     def x_of(x):
-        return (x - xmin) * unit + pad
+        return (x - xmin) * STRAND_GAP + pad
 
     def y_of(y):
-        return (ymax - y) * unit + pad
+        return (ymax - y) * STRAND_GAP + pad
 
-    width = (xmax - xmin) * unit + 2 * pad
-    height = (ymax - ymin) * unit + 2 * pad
+    width = (xmax - xmin) * STRAND_GAP + 2 * pad
+    height = (ymax - ymin) * STRAND_GAP + 2 * pad
 
     gl = (pegs[0][0] + pegs[1][0]) / 2.0
     gr = (pegs[1][0] + pegs[2][0]) / 2.0
@@ -427,23 +420,20 @@ def render_taffy_svg(
         if isinstance(piece, Segment):
             d_parts.append("L %s %s" % (_fmt(ex), _fmt(ey)))
         else:
-            r = piece.radius * unit
-            sx, sy = x_of(piece.start[0]), y_of(piece.start[1])
-            bulge = -piece.radius if piece.side == "west" else piece.radius
-            mx, my = x_of(piece.center[0] + bulge), y_of(piece.center[1])
-            cross = (mx - sx) * (ey - sy) - (my - sy) * (ex - sx)
-            sweep = 1 if cross > 0 else 0
+            r = piece.radius * STRAND_GAP
+            # clockwise on screen: east from the top pole, west from the bottom
+            sweep = int((piece.side == "east") == piece.start_at_top)
             d_parts.append("A %s %s 0 0 %d %s %s" % (_fmt(r), _fmt(r), sweep, _fmt(ex), _fmt(ey)))
     parts.append(
         '<path class="strand" d="%s" fill="none" stroke="#b03030" '
         'stroke-width="%s" stroke-linecap="round" stroke-linejoin="round"/>'
-        % (" ".join(d_parts), _fmt(stroke_width))
+        % (" ".join(d_parts), _fmt(STROKE_WIDTH))
     )
 
     for px, py in pegs:
         parts.append(
             '<circle class="peg" cx="%s" cy="%s" r="%s" fill="#333"/>'
-            % (_fmt(x_of(px)), _fmt(y_of(py)), _fmt(diagram.peg_radius * unit))
+            % (_fmt(x_of(px)), _fmt(y_of(py)), _fmt(PEG_RADIUS * STRAND_GAP))
         )
     parts.append("</svg>")
     return "\n".join(parts)

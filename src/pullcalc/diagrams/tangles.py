@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .. import words
 from ..rationals import ExtRational, cf_eval
 from ..treewalk import word_to_cf
-from .taffy import _fmt
+from .taffy import STROKE_WIDTH, _fmt
 
 TWIST_CODES = {"V": 0, "H": 1}
 TWIST_LETTERS = ("V", "H")
@@ -80,6 +80,8 @@ def _twist_codes(diagram: TangleDiagram):
 
 # --- rendering ----------------------------------------------------------------
 
+TILE = 60.0  # SVG pixels per crossing tile
+GAP = 2.0 * STROKE_WIDTH  # how far the under strand stops short of the over strand
 _HANDLE = 0.6  # Bezier control offset, as a fraction of the tile size
 
 
@@ -105,26 +107,18 @@ def _mid_speed(bez) -> float:
     return (dx * dx + dy * dy) ** 0.5
 
 
-def render_tangle_svg(
-    diagram: TangleDiagram,
-    tile: float = 60.0,
-    stroke_width: float = 2.0,
-    gap: float = None,
-    scale: float = 1.0,
-) -> str:
+def render_tangle_svg(diagram: TangleDiagram) -> str:
     """Standalone SVG for a tangle diagram.
 
-    Each crossing lives in its own tile (a new column on the right or
-    a new row along the bottom) as two cubic curves; the under strand
-    is split around the midpoint so the over strand reads clearly.
+    Each crossing lives in its own TILE-sized tile (a new column on the
+    right or a new row along the bottom) as two cubic curves; the under
+    strand breaks for GAP pixels at the midpoint so the over strand
+    reads clearly.
     """
-    s = tile * scale
-    if gap is None:
-        gap = 2.0 * stroke_width
     stroke = 'fill="none" stroke="#203050" stroke-width="%s" stroke-linecap="round"' % _fmt(
-        stroke_width
+        STROKE_WIDTH
     )
-    pad = 2.0 * stroke_width + 2.0
+    pad = 2.0 * STROKE_WIDTH + 2.0
 
     def pt(p):
         return "%s %s" % (_fmt(p[0] + pad), _fmt(p[1] + pad))
@@ -140,27 +134,27 @@ def render_tangle_svg(
             stroke,
         )
 
-    w = h = s
+    w = h = TILE
     body = [
-        '<path class="strand" d="M %s L %s" %s/>' % (pt((0.0, 0.0)), pt((s, 0.0)), stroke),
-        '<path class="strand" d="M %s L %s" %s/>' % (pt((0.0, s)), pt((s, s)), stroke),
+        '<path class="strand" d="M %s L %s" %s/>' % (pt((0.0, 0.0)), pt((TILE, 0.0)), stroke),
+        '<path class="strand" d="M %s L %s" %s/>' % (pt((0.0, TILE)), pt((TILE, TILE)), stroke),
     ]
 
     for crossing in diagram.crossings:
         if crossing.position == "right-side":
-            x0, x1 = w, w + s
-            hx = _HANDLE * s
+            x0, x1 = w, w + TILE
+            hx = _HANDLE * TILE
             keep = ((x0, 0.0), (x0 + hx, 0.0), (x1 - hx, h), (x1, h))
             from_se = ((x0, h), (x0 + hx, h), (x1 - hx, 0.0), (x1, 0.0))
             w = x1
         else:
-            y0, y1 = h, h + s
-            hy = _HANDLE * s
+            y0, y1 = h, h + TILE
+            hy = _HANDLE * TILE
             keep = ((0.0, y0), (0.0, y0 + hy), (w, y1 - hy), (w, y1))
             from_se = ((w, y0), (w, y0 + hy), (0.0, y1 - hy), (0.0, y1))
             h = y1
         over, under = (from_se, keep) if crossing.sign > 0 else (keep, from_se)
-        eps = (gap / 2.0) / max(_mid_speed(under), 1e-9)
+        eps = (GAP / 2.0) / max(_mid_speed(under), 1e-9)
         eps = min(0.3, max(0.02, eps))
         first, _ = _split(under, 0.5 - eps)
         _, second = _split(under, 0.5 + eps)
@@ -176,7 +170,7 @@ def render_tangle_svg(
     for label, (ex, ey) in sorted(diagram.endpoints.items()):
         body.append(
             '<circle class="end" data-corner="%s" cx="%s" cy="%s" r="%s" fill="#203050"/>'
-            % (label, _fmt(ex * s + pad), _fmt(ey * s + pad), _fmt(stroke_width * 1.5))
+            % (label, _fmt(ex * TILE + pad), _fmt(ey * TILE + pad), _fmt(STROKE_WIDTH * 1.5))
         )
 
     width = w + 2.0 * pad

@@ -21,7 +21,7 @@ L_INV = 3
 
 TurnWord = tuple  # tuple[int, ...]
 
-_TOKENS = {R: "R", L: "L", R_INV: "R^-1", L_INV: "L^-1"}
+MAX_TURNS = 2**24  # longest word tokenize will spell out
 
 
 class WordSyntaxError(ValueError):
@@ -37,22 +37,14 @@ def inverse_turn(turn: int) -> int:
     return turn ^ 2
 
 
-def turn_letter(turn: int) -> int:
-    """0 for R-family turns, 1 for L-family turns."""
-    return turn & 1
-
-
-def is_reverse(turn: int) -> bool:
-    return turn >= 2
-
-
 def tokenize(text: str, letter_codes: dict) -> TurnWord:
     """Scan ``text`` into turn codes using the given uppercase alphabet.
 
     ``letter_codes`` maps each forward letter to its code; the lowercase
     form of a letter spells its inverse, and ``X^k`` repeats (a negative
     k applying the inverse |k| times).  ``e`` is the empty word and may
-    appear anywhere.  Whitespace separates nothing in particular.
+    appear anywhere.  Whitespace separates nothing in particular.  A
+    word of more than MAX_TURNS turns is refused before it is built.
     """
     turns = []
     i, n = 0, len(text)
@@ -70,11 +62,12 @@ def tokenize(text: str, letter_codes: dict) -> TurnWord:
         base = letter_codes[upper]
         if ch != upper:
             base ^= 2
+        at = i
         i += 1
         count = 1
         if i < n and text[i] == "^":
             i += 1
-            j = i
+            at = j = i
             if j < n and text[j] in "+-":
                 j += 1
             if j >= n or not text[j].isdigit():
@@ -86,6 +79,8 @@ def tokenize(text: str, letter_codes: dict) -> TurnWord:
         if count < 0:
             base ^= 2
             count = -count
+        if len(turns) + count > MAX_TURNS:
+            raise WordSyntaxError("word longer than %d turns" % MAX_TURNS, offset=at)
         turns.extend([base] * count)
     return tuple(turns)
 

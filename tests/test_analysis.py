@@ -71,9 +71,6 @@ def test_cw_row_depth_cap():
     with pytest.raises(ValueError):
         cw_row(26)
     with pytest.raises(ValueError):
-        cw_row(3, depth_cap=2)
-    assert cw_row(3, depth_cap=3).depth == 3
-    with pytest.raises(ValueError):
         cw_row(0)
 
 

@@ -1,11 +1,13 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every
+name the package defines is read somewhere or exported."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pullcalc"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pullcalc"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -30,3 +32,55 @@ def test_the_scan_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_definitions(defining: dict, reading: list):
+    """Module-level functions, classes and assigned names that no source reads.
+
+    ``defining`` maps a label to the source whose top level is scanned;
+    every source in ``defining`` and ``reading`` counts as a reader.  A
+    read is a loaded name, an attribute or an imported name; names in
+    an ``__all__`` and dunder names are exempt.
+    """
+    defined = []
+    read = set()
+    exported = set()
+    for label, source in defining.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((label, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defined.append((label, name.id))
+                            if name.id == "__all__":
+                                exported.update(ast.literal_eval(node.value))
+    for source in list(defining.values()) + reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(
+        "%s: %s" % (label, name)
+        for label, name in defined
+        if name not in read | exported and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_the_scan_sees_a_dead_definition():
+    defining = {
+        "a.py": "__all__ = ['kept']\nX = 1\n_Y = 2\ndef kept(): return _Y\nclass Gone: pass\n",
+        "b.py": "from a import X\n",
+    }
+    assert dead_definitions(defining, ["import a\na.helper = None\n"]) == ["a.py: Gone"]
+
+
+def test_every_definition_is_read_or_exported():
+    defining = {p.relative_to(SRC).as_posix(): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    reading = [p.read_text() for p in sorted((ROOT / "tests").rglob("*.py"))]
+    assert dead_definitions(defining, reading) == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pullcalc.diagrams.geometry import (
+    HalfCircle,
     Segment,
     bounding_box,
     comes_within,
@@ -91,6 +92,19 @@ def test_close_parallel_segments_do_not_meet():
     assert piece_intersections(seg(0, 0, 4, 0), seg(0, 2**-40, 4, 2**-40)) == (0, False)
 
 
+def test_an_arc_runs_between_the_poles_of_its_circle():
+    arc = HalfCircle((0.0, 0.0), 2.0, "west", False)
+    assert arc.start == (0.0, -2.0)
+    assert arc.end == (0.0, 2.0)
+    assert half_circle is HalfCircle
+
+
+@pytest.mark.parametrize("side,radius", [("north", 1.0), ("west", 0.0), ("east", -1.0)])
+def test_an_arc_needs_a_side_and_a_positive_radius(side, radius):
+    with pytest.raises(ValueError):
+        HalfCircle((0.0, 0.0), radius, side)
+
+
 # --- reconstruction -----------------------------------------------------------
 
 def test_initial_diagram_is_a_bare_strand():
@@ -152,7 +166,7 @@ PEGS = ((0.0, 0.0), (8.0, 0.0), (16.0, 0.0))
 
 
 def hand_diagram(pieces, counts):
-    return TaffyDiagram(pegs=PEGS, peg_radius=0.5, strand=tuple(pieces), counts=counts)
+    return TaffyDiagram(pegs=PEGS, strand=tuple(pieces), counts=counts)
 
 
 def test_verify_rejects_a_self_crossing_strand():
@@ -181,7 +195,7 @@ def test_verify_rejects_a_closed_loop():
 
 def test_verify_notices_wrong_counts():
     d = build_taffy(make(3, 2))
-    lying = TaffyDiagram(d.pegs, d.peg_radius, d.strand, LayerCounts(right=3, left=3))
+    lying = TaffyDiagram(d.pegs, d.strand, LayerCounts(right=3, left=3))
     report = verify_taffy(lying)
     assert report.measured == LayerCounts(right=3, left=2)
     assert not report.counts_match
@@ -251,6 +265,30 @@ def test_verify_accepts_a_strand_running_close_above_itself():
     assert report.passes, report
 
 
+def test_an_arc_far_from_the_pegs_measures_nothing():
+    # ends at (0.5, 0) and (7.5, 0) can no longer be claimed for this circle
+    with pytest.raises(TypeError):
+        HalfCircle((30.0, 0.0), 1.0, "east", (0.5, 0.0), (7.5, 0.0))
+    d = hand_diagram([HalfCircle((30.0, 0.0), 1.0, "east")], LayerCounts(right=2, left=1))
+    report = verify_taffy(d)
+    assert report.measured == LayerCounts(right=0, left=0)
+    assert not report.ends_on_pegs
+    assert not report.passes
+    with pytest.raises(ValueError):
+        render_taffy_svg(d)
+
+
+def test_an_arc_radius_finer_than_every_coordinate_stays_exact():
+    d = hand_diagram([HalfCircle((4.0, 0.0), 2**-3, "east")], LayerCounts(right=0, left=0))
+    assert verify_taffy(d) == TaffyReport(
+        expected=LayerCounts(right=0, left=0),
+        measured=LayerCounts(right=0, left=0),
+        single_arc=True,
+        ends_on_pegs=False,
+        embedded=True,
+    )
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_verify_refuses_a_non_finite_coordinate(bad):
     # there is no grid step for such a point, so there is no report either
@@ -281,13 +319,6 @@ def test_render_taffy_svg_refuses_a_bad_diagram():
     bad = hand_diagram([seg(0.5, 0, 3, 0), seg(4, 1, 7.5, 0)], LayerCounts(right=0, left=1))
     with pytest.raises(ValueError):
         render_taffy_svg(bad)
-
-
-def test_render_scales_with_the_options():
-    d = build_taffy(make(1, 2))
-    small = render_taffy_svg(d, strand_gap=4.0)
-    big = render_taffy_svg(d, strand_gap=8.0)
-    assert small != big
 
 
 # --- randomized spot checks ------------------------------------------------------

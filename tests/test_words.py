@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from pullcalc.cli import run
 from pullcalc.words import (
     L,
     L_INV,
+    MAX_TURNS,
     R,
     R_INV,
     WordSyntaxError,
@@ -71,6 +73,30 @@ def test_parse_rejects_dangling_caret():
 def test_parse_rejects_caret_without_letter():
     with pytest.raises(WordSyntaxError):
         parse_word("^2")
+
+
+@pytest.mark.parametrize(
+    "text,offset",
+    [
+        ("R^%d" % (MAX_TURNS + 1), 2),
+        ("r^-%d" % (MAX_TURNS + 1), 2),
+        ("R L^%d" % MAX_TURNS, 4),  # the budget spans the whole word
+    ],
+)
+def test_parse_refuses_a_word_past_the_turn_budget(text, offset):
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("word", ["R^-99999999999", "R^100000000000000000000000"])
+def test_eval_of_a_huge_exponent_is_one_line_of_error(word):
+    result = run(["eval", word])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("pullcalc: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
 
 
 # --- formatting ------------------------------------------------------------
