@@ -1,10 +1,12 @@
 """Command line front end.
 
-Each subcommand is a thin shim over one library call.  ``--json``
-switches the affected subcommands to a single JSON document on stdout;
-the SVG subcommands write markup to ``-o`` (default stdout) and never
-take ``--json``.  Usage errors exit 2, domain errors (bad fraction,
-unparsable word, depth cap) exit 1, success exits 0.
+Each subcommand is a thin shim over one library call that returns its
+result and writes nothing; ``main`` alone turns that result into text,
+JSON-encoding it under ``--json``, and prints it or writes it to ``-o``.
+Stdout and ``-o`` get the same bytes, ending in exactly one newline.
+The SVG subcommands take ``-o`` (default stdout) and never ``--json``.
+Usage errors exit 2, domain errors (bad fraction, unparsable word,
+depth cap, unwritable ``-o``) exit 1, success exits 0.
 """
 
 import argparse
@@ -48,95 +50,72 @@ def _accept_negative_fractions(parser: argparse.ArgumentParser) -> None:
     parser._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
 
 
-def _emit_svg(markup: str, destination: str) -> None:
-    if not markup.endswith("\n"):
-        markup += "\n"
-    if destination == "-":
-        sys.stdout.write(markup)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(markup)
-
-
 # --- subcommand handlers -----------------------------------------------------
+#
+# A handler returns its result and writes nothing: under --json a dict
+# or list, otherwise a value whose str() is the text to print.
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     word = words.parse_word(args.word)
-    q = treewalk.taffy_number(word)
     if args.json:
         counts = treewalk.layer_counts(word)
-        payload = {
+        return {
             "word": args.word,
             "reduced": words.format_word(words.reduce(word)),
             "runs": list(words.to_run_form(word)),
-            "taffy_number": _frac(q),
+            "taffy_number": _frac(treewalk.taffy_number(word)),
             "layers": {"left": counts.left, "right": counts.right},
             "continued_fraction": list(treewalk.word_to_cf(word)),
             "canonical": str(treewalk.canonicalize_arith(word)),
         }
-        print(json.dumps(payload))
-        return 0
     if args.trace:
-        for step, value in zip(("start",) + tuple(word), treewalk.number_trace(word)):
-            label = step if step == "start" else words.format_word((step,))
-            print("%-5s %s" % (label, value))
-    else:
-        print(q)
-    return 0
+        steps = ("start",) + tuple(words.format_word((t,)) for t in word)
+        return "\n".join(
+            "%-5s %s" % pair for pair in zip(steps, treewalk.number_trace(word))
+        )
+    return treewalk.taffy_number(word)
 
 
-def _cmd_canon(args) -> int:
-    word = words.parse_word(args.word)
-    c = treewalk.canonicalize_rewrite(word)
+def _cmd_canon(args):
+    c = treewalk.canonicalize_rewrite(words.parse_word(args.word))
     if args.json:
-        payload = {
+        return {
             "word": args.word,
             "canonical": str(c),
             "tag": c.tag,
             "taffy_number": _frac(treewalk.taffy_number(c.word)),
         }
-        print(json.dumps(payload))
-    else:
-        print(c)
-    return 0
+    return c
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args):
     w1 = words.parse_word(args.word1)
     w2 = words.parse_word(args.word2)
     same = treewalk.equivalent(w1, w2)
     if args.json:
-        payload = {
+        return {
             "equivalent": same,
             "values": [_frac(treewalk.taffy_number(w)) for w in (w1, w2)],
         }
-        print(json.dumps(payload))
-    else:
-        print("equivalent" if same else "not equivalent")
-    return 0
+    return "equivalent" if same else "not equivalent"
 
 
-def _cmd_invert(args) -> int:
+def _cmd_invert(args):
     q = parse_fraction(args.fraction)
     c = treewalk.canonical_word(q, mode=args.mode)
     if args.json:
-        payload = {"fraction": _frac(q), "canonical": str(c), "tag": c.tag}
-        print(json.dumps(payload))
-    else:
-        print(c)
-    return 0
+        return {"fraction": _frac(q), "canonical": str(c), "tag": c.tag}
+    return c
 
 
-def _cmd_layers(args) -> int:
+def _cmd_layers(args):
     counts = treewalk.layer_counts(words.parse_word(args.word))
     if args.json:
-        print(json.dumps({"left": counts.left, "right": counts.right}))
-    else:
-        print("left %d, right %d" % (counts.left, counts.right))
-    return 0
+        return {"left": counts.left, "right": counts.right}
+    return "left %d, right %d" % (counts.left, counts.right)
 
 
-def _cmd_cf(args) -> int:
+def _cmd_cf(args):
     try:
         q = parse_fraction(args.value)
     except ValueError:
@@ -146,50 +125,38 @@ def _cmd_cf(args) -> int:
     else:
         coeffs = cf_expand(q)
     if args.json:
-        print(json.dumps({"coefficients": list(coeffs), "value": _frac(q)}))
-    else:
-        print(format_cf(coeffs))
-    return 0
+        return {"coefficients": list(coeffs), "value": _frac(q)}
+    return format_cf(coeffs)
 
 
-def _cmd_tree(args) -> int:
+def _cmd_tree(args):
     listing = analysis.cw_row(args.row)
+    entries = [str(q) for q in listing.entries]
     if args.json:
-        payload = {"depth": listing.depth, "entries": [str(q) for q in listing.entries]}
-        print(json.dumps(payload))
-    else:
-        print(" ".join(str(q) for q in listing.entries))
-    return 0
+        return {"depth": listing.depth, "entries": entries}
+    return " ".join(entries)
 
 
-def _cmd_children(args) -> int:
-    q = parse_fraction(args.fraction)
-    kids = analysis.four_way_children(q)
+def _cmd_children(args):
+    kids = analysis.four_way_children(parse_fraction(args.fraction))
     if args.json:
-        print(json.dumps({turn: _frac(child) for turn, child in kids.items()}))
-    else:
-        for turn, child in kids.items():
-            print("%-4s %s" % (turn, child))
-    return 0
+        return {turn: _frac(child) for turn, child in kids.items()}
+    return "\n".join("%-4s %s" % pair for pair in kids.items())
 
 
-def _cmd_maxlayers(args) -> int:
+def _cmd_maxlayers(args):
     mode = "brute-force" if args.brute else "closed-form"
     total, witness = analysis.max_total_layers(args.length, mode=mode)
     text = words.format_word(witness)
     if args.json:
-        payload = {"length": args.length, "total": total, "witness": text, "mode": mode}
-        print(json.dumps(payload))
-    else:
-        print("total %d" % total)
-        print("witness %s" % text)
-    return 0
+        return {"length": args.length, "total": total, "witness": text, "mode": mode}
+    return "total %d\nwitness %s" % (total, text)
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     rows = analysis.effectiveness_report(words.parse_word(args.word))
     if args.json:
-        payload = [
+        return [
             {
                 "length": row.length,
                 "total": row.total,
@@ -197,39 +164,26 @@ def _cmd_report(args) -> int:
             }
             for row in rows
         ]
-        print(json.dumps(payload))
-    else:
-        for row in rows:
-            ratio = "-" if row.ratio is None else str(row.ratio)
-            print("%4d %12d  %s" % (row.length, row.total, ratio))
-    return 0
+    return "\n".join(
+        "%4d %12d  %s" % (row.length, row.total, "-" if row.ratio is None else row.ratio)
+        for row in rows
+    )
 
 
-def _cmd_tangle_eval(args) -> int:
+def _cmd_tangle_eval(args):
     twists = parse_tangle(args.word)
     q = tangle_number(twists)
     if args.json:
-        payload = {
-            "word": args.word,
-            "crossings": len(twists),
-            "tangle_number": _frac(q),
-        }
-        print(json.dumps(payload))
-    else:
-        print(q)
-    return 0
+        return {"word": args.word, "crossings": len(twists), "tangle_number": _frac(q)}
+    return q
 
 
-def _cmd_render_taffy(args) -> int:
-    diagram = build_taffy(_value_of(args.value))
-    _emit_svg(render_taffy_svg(diagram), args.output)
-    return 0
+def _cmd_render_taffy(args):
+    return render_taffy_svg(build_taffy(_value_of(args.value)))
 
 
-def _cmd_render_tangle(args) -> int:
-    diagram = build_tangle(parse_tangle(args.word))
-    _emit_svg(render_tangle_svg(diagram), args.output)
-    return 0
+def _cmd_render_tangle(args):
+    return render_tangle_svg(build_tangle(parse_tangle(args.word)))
 
 
 # --- parser ---------------------------------------------------------------------
@@ -239,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pullcalc",
         description="Exact arithmetic for taffy-pull words and rational tangles.",
     )
+    parser.set_defaults(json=False, output="-")
     sub = parser.add_subparsers(dest="command", required=True)
 
     jsonish = argparse.ArgumentParser(add_help=False)
@@ -314,10 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        text = json.dumps(result) if args.json else str(result)
+        if args.output == "-":
+            print(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
     except (ValueError, RuntimeError, OSError) as exc:
         print("pullcalc: %s" % exc, file=sys.stderr)
         return 1
+    return 0
 
 
 class CommandResult(NamedTuple):

@@ -1,6 +1,6 @@
 """Diagram reconstruction and SVG rendering for pulls and tangles."""
 
-from .geometry import HalfCircle, Segment, half_circle, piece_intersections
+from .geometry import HalfCircle, Segment, piece_intersections
 from .taffy import (
     TaffyDiagram,
     TaffyReport,
@@ -29,7 +29,6 @@ __all__ = [
     "build_taffy",
     "build_tangle",
     "format_tangle",
-    "half_circle",
     "parse_tangle",
     "piece_intersections",
     "render_taffy_svg",

@@ -52,8 +52,6 @@ class HalfCircle:
         return (cx, cy - self.radius if self.start_at_top else cy + self.radius)
 
 
-half_circle = HalfCircle
-
 
 def reverse_piece(piece):
     if isinstance(piece, Segment):

@@ -22,7 +22,6 @@ from .geometry import (
     _map_piece,
     bounding_box,
     comes_within,
-    half_circle,
     piece_intersections,
     reflect_piece_x,
     reverse_piece,
@@ -143,7 +142,7 @@ def _build_core(l: int, r: int):
         h = s(i)
         pieces = [
             _seg(gl, h, 0, h),
-            half_circle((0.0, 0.0), float(h), "west", start_at_top=True),
+            HalfCircle((0.0, 0.0), float(h), "west", start_at_top=True),
             _seg(0, -h, gl, -h),
         ]
         units.append((pieces, ("L", i), ("L", l + 1 - i)))
@@ -155,7 +154,7 @@ def _build_core(l: int, r: int):
         h = re(j)
         pieces = [
             _seg(gr, h, 2 * big_d, h),
-            half_circle((2.0 * big_d, 0.0), float(h), "east", start_at_top=True),
+            HalfCircle((2.0 * big_d, 0.0), float(h), "east", start_at_top=True),
             _seg(2 * big_d, -h, gr, -h),
         ]
         units.append((pieces, ("R", j), ("R", r + 1 - j)))

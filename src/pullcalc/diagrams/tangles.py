@@ -43,16 +43,30 @@ class Crossing(NamedTuple):
 
 @dataclass(frozen=True)
 class TangleDiagram:
-    crossings: tuple
+    """A tangle diagram is its twist word; the crossings are read off it."""
+
+    twists: tuple
+
+    def __post_init__(self):
+        for t in self.twists:
+            if t not in (0, 1, 2, 3):
+                raise ValueError("bad twist code %r" % (t,))
+
+    @property
+    def crossings(self) -> tuple:
+        return tuple(
+            Crossing("right-side" if t & 1 == 0 else "bottom-side", -1 if t & 2 else 1)
+            for t in self.twists
+        )
 
     @property
     def width(self) -> float:
         """Box width in tile units; every right-side twist adds one."""
-        return 1.0 + sum(1 for c in self.crossings if c.position == "right-side")
+        return 1.0 + sum(1 for t in self.twists if t & 1 == 0)
 
     @property
     def height(self) -> float:
-        return 1.0 + sum(1 for c in self.crossings if c.position == "bottom-side")
+        return 1.0 + sum(1 for t in self.twists if t & 1)
 
     @property
     def endpoints(self) -> dict:
@@ -61,21 +75,7 @@ class TangleDiagram:
 
 
 def build_tangle(twists) -> TangleDiagram:
-    crossings = []
-    for t in twists:
-        if t not in (0, 1, 2, 3):
-            raise ValueError("bad twist code %r" % (t,))
-        position = "right-side" if (t & 1) == 0 else "bottom-side"
-        crossings.append(Crossing(position, -1 if t & 2 else 1))
-    return TangleDiagram(tuple(crossings))
-
-
-def _twist_codes(diagram: TangleDiagram):
-    codes = []
-    for c in diagram.crossings:
-        base = 0 if c.position == "right-side" else 1
-        codes.append(base if c.sign > 0 else base | 2)
-    return tuple(codes)
+    return TangleDiagram(tuple(twists))
 
 
 # --- rendering ----------------------------------------------------------------
@@ -179,6 +179,6 @@ def render_tangle_svg(diagram: TangleDiagram) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" viewBox="0 0 %s %s">'
         % (_fmt(width), _fmt(height), _fmt(width), _fmt(height))
     )
-    number = tangle_number(_twist_codes(diagram))
+    number = tangle_number(diagram.twists)
     title = "<title>rational tangle %s</title>" % (number,)
     return "\n".join([head, title] + body + ["</svg>"])

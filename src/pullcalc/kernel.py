@@ -33,16 +33,3 @@ def fold_turns(word, num=0, den=1):
         elif b == 0:
             a = 1
     return a, b
-
-
-def reduce_turns(word):
-    """Freely reduce a word: drop every adjacent turn/inverse pair."""
-    out = []
-    for t in word:
-        if t not in (0, 1, 2, 3):
-            raise ValueError("bad turn code %r" % (t,))
-        if out and out[-1] == t ^ 2:
-            out.pop()
-        else:
-            out.append(t)
-    return tuple(out)

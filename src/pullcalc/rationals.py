@@ -46,10 +46,6 @@ class ExtRational:
     def __setattr__(self, name, value):
         raise AttributeError("ExtRational is immutable")
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.den == 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtRational):
             return NotImplemented
@@ -94,11 +90,6 @@ def apply_turn_rule(q: ExtRational, turn: int) -> ExtRational:
 def neg_recip(q: ExtRational) -> ExtRational:
     """-1/q, exchanging 0/1 and 1/0."""
     return ExtRational(-q.den, q.num)
-
-
-def recip(q: ExtRational) -> ExtRational:
-    """1/q, exchanging 0/1 and 1/0."""
-    return ExtRational(q.den, q.num)
 
 
 def cf_eval(coeffs: Sequence[int]) -> ExtRational:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from pullcalc import kernel
-
 R = 0
 L = 1
 R_INV = 2
@@ -44,7 +42,9 @@ def tokenize(text: str, letter_codes: dict) -> TurnWord:
     form of a letter spells its inverse, and ``X^k`` repeats (a negative
     k applying the inverse |k| times).  ``e`` is the empty word and may
     appear anywhere.  Whitespace separates nothing in particular.  A
-    word of more than MAX_TURNS turns is refused before it is built.
+    word of more than MAX_TURNS turns is refused before it is built,
+    and an exponent with more digits than MAX_TURNS (leading zeros
+    aside) before it is converted.
     """
     turns = []
     i, n = 0, len(text)
@@ -67,18 +67,21 @@ def tokenize(text: str, letter_codes: dict) -> TurnWord:
         count = 1
         if i < n and text[i] == "^":
             i += 1
-            at = j = i
-            if j < n and text[j] in "+-":
+            at = i
+            if i < n and text[i] in "+-":
+                if text[i] == "-":
+                    base ^= 2
+                i += 1
+            j = i
+            while j < n and text[j].isdecimal():
                 j += 1
-            if j >= n or not text[j].isdigit():
-                raise WordSyntaxError("expected an integer after '^'", offset=i)
-            while j < n and text[j].isdigit():
-                j += 1
-            count = int(text[i:j])
+            if j == i:
+                raise WordSyntaxError("expected an integer after '^'", offset=at)
+            digits = text[i:j].lstrip("0")
+            if len(digits) > len(str(MAX_TURNS)):
+                raise WordSyntaxError("word longer than %d turns" % MAX_TURNS, offset=at)
+            count = int(digits or "0")
             i = j
-        if count < 0:
-            base ^= 2
-            count = -count
         if len(turns) + count > MAX_TURNS:
             raise WordSyntaxError("word longer than %d turns" % MAX_TURNS, offset=at)
         turns.extend([base] * count)
@@ -123,7 +126,15 @@ def format_word(word: Sequence[int], style: str = "plain", letters: tuple = ("R"
 
 def reduce(word: Iterable[int]) -> TurnWord:
     """Freely reduce: cancel every adjacent turn/inverse pair."""
-    return kernel.reduce_turns(tuple(word))
+    out = []
+    for t in word:
+        if t not in (0, 1, 2, 3):
+            raise ValueError("bad turn code %r" % (t,))
+        if out and out[-1] == t ^ 2:
+            out.pop()
+        else:
+            out.append(t)
+    return tuple(out)
 
 
 def to_run_form(word: Iterable[int]) -> tuple:

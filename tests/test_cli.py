@@ -244,3 +244,56 @@ def test_run_boxes_domain_errors():
     assert result.exit_code == 1
     assert result.stdout == ""
     assert "pullcalc:" in result.stderr
+
+
+# --- every JSON document, whole -----------------------------------------------------
+
+JSON_DOCUMENTS = [
+    (
+        ["canon", "R R L^-1"],
+        {
+            "word": "R R L^-1",
+            "canonical": "R^-2",
+            "tag": "reverse",
+            "taffy_number": {"num": -2, "den": 1},
+        },
+    ),
+    (
+        ["equiv", "R L R", "R R R^-1 L R"],
+        {"equivalent": True, "values": [{"num": 3, "den": 2}, {"num": 3, "den": 2}]},
+    ),
+    (
+        ["equiv", "R L R", "R L"],
+        {"equivalent": False, "values": [{"num": 3, "den": 2}, {"num": 1, "den": 2}]},
+    ),
+    (
+        ["invert", "9/7"],
+        {"fraction": {"num": 9, "den": 7}, "canonical": "R^2 L^3 R", "tag": "forward"},
+    ),
+    (
+        ["invert", "-7/9", "--mode", "slow"],
+        {
+            "fraction": {"num": -7, "den": 9},
+            "canonical": "R^-1 L^-1 R^-3 L^-1",
+            "tag": "reverse",
+        },
+    ),
+    (["layers", "R L R L R L"], {"left": 13, "right": 8}),
+    (["cf", "9/7"], {"coefficients": [1, 3, 2], "value": {"num": 9, "den": 7}}),
+    (["cf", "L R L"], {"coefficients": [0, 1, 1, 1, 0], "value": {"num": 1, "den": 2}}),
+    (["tree", "3"], {"depth": 3, "entries": ["1/3", "3/2", "2/3", "3/1"]}),
+    (
+        ["tangle-eval", "V^2 H V^-1"],
+        {"word": "V^2 H V^-1", "crossings": 4, "tangle_number": {"num": -1, "den": 3}},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", JSON_DOCUMENTS, ids=[" ".join(argv) for argv, _ in JSON_DOCUMENTS]
+)
+def test_json_document(capsys, argv, expected):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    assert out.endswith("}\n") and out.count("\n") == 1
+    assert json.loads(out) == expected

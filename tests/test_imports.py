@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, and every
-name the package defines is read somewhere or exported."""
+name the package defines is read somewhere; exporting a name is not
+reading it."""
 
 import ast
 import pathlib
@@ -39,12 +40,12 @@ def dead_definitions(defining: dict, reading: list):
 
     ``defining`` maps a label to the source whose top level is scanned;
     every source in ``defining`` and ``reading`` counts as a reader.  A
-    read is a loaded name, an attribute or an imported name; names in
-    an ``__all__`` and dunder names are exempt.
+    read is a loaded name, an attribute or a name imported outside an
+    ``__init__.py``: a package's imports and its ``__all__`` only
+    re-export.  Dunder names are exempt.
     """
     defined = []
     read = set()
-    exported = set()
     for label, source in defining.items():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -55,20 +56,19 @@ def dead_definitions(defining: dict, reading: list):
                     for name in ast.walk(target):
                         if isinstance(name, ast.Name):
                             defined.append((label, name.id))
-                            if name.id == "__all__":
-                                exported.update(ast.literal_eval(node.value))
-    for source in list(defining.values()) + reading:
+    sources = [(label.endswith("__init__.py"), s) for label, s in defining.items()]
+    for is_init, source in sources + [(False, s) for s in reading]:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
+            elif isinstance(node, ast.ImportFrom) and not is_init:
                 read.update(a.name for a in node.names)
     return sorted(
         "%s: %s" % (label, name)
         for label, name in defined
-        if name not in read | exported and not (name.startswith("__") and name.endswith("__"))
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
     )
 
 
@@ -77,7 +77,10 @@ def test_the_scan_sees_a_dead_definition():
         "a.py": "__all__ = ['kept']\nX = 1\n_Y = 2\ndef kept(): return _Y\nclass Gone: pass\n",
         "b.py": "from a import X\n",
     }
-    assert dead_definitions(defining, ["import a\na.helper = None\n"]) == ["a.py: Gone"]
+    assert dead_definitions(defining, ["import a\na.helper = a.kept()\n"]) == ["a.py: Gone"]
+    # exported and re-exported, but never called
+    defining["pkg/__init__.py"] = "from .a import kept\n__all__ = ['kept']\n"
+    assert dead_definitions(defining, []) == ["a.py: Gone", "a.py: kept"]
 
 
 def test_every_definition_is_read_or_exported():

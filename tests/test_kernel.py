@@ -11,11 +11,3 @@ def test_fold_turns_empty_word_returns_the_seed():
 def test_bad_turn_codes_are_rejected():
     with pytest.raises(ValueError):
         kernel.fold_turns((0, 4))
-    with pytest.raises(ValueError):
-        kernel.reduce_turns((0, -1))
-
-
-def test_reduce_turns_cancels_pairs():
-    assert kernel.reduce_turns((0, 2)) == ()
-    assert kernel.reduce_turns((0, 1, 3, 2)) == ()
-    assert kernel.reduce_turns((0, 0, 3)) == (0, 0, 3)

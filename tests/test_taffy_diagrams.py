@@ -9,7 +9,6 @@ from pullcalc.diagrams.geometry import (
     Segment,
     bounding_box,
     comes_within,
-    half_circle,
     piece_intersections,
     reflect_piece_x,
     rotate_piece_180,
@@ -43,28 +42,28 @@ def test_segment_intersections():
 
 
 def test_segment_arc_intersections():
-    arc = half_circle((0.0, 0.0), 2.0, "west")
+    arc = HalfCircle((0.0, 0.0), 2.0, "west")
     # only (-2, 0): the eastern root is off the drawn half
     assert piece_intersections(seg(-5, 0, 5, 0), arc) == (1, False)
     assert piece_intersections(seg(-5, 3, 5, 3), arc) == (0, False)
     # tangent at the bulge
     assert piece_intersections(seg(-2, -5, -2, 5), arc) == (1, False)
     # crossing exactly at the top pole, which both halves share
-    east = half_circle((0.0, 0.0), 2.0, "east")
+    east = HalfCircle((0.0, 0.0), 2.0, "east")
     assert piece_intersections(seg(-1, 3, 1, 1), east) == (1, False)
 
 
 def test_arc_arc_intersections():
-    a = half_circle((0.0, 0.0), 2.0, "west")
-    b = half_circle((0.0, 0.0), 3.0, "west")
+    a = HalfCircle((0.0, 0.0), 2.0, "west")
+    b = HalfCircle((0.0, 0.0), 3.0, "west")
     assert piece_intersections(a, b) == (0, False)  # nested rainbows never touch
-    assert piece_intersections(a, half_circle((0.0, 0.0), 2.0, "west")) == (0, True)
+    assert piece_intersections(a, HalfCircle((0.0, 0.0), 2.0, "west")) == (0, True)
     # the two shared poles
-    assert piece_intersections(a, half_circle((0.0, 0.0), 2.0, "east")) == (2, False)
+    assert piece_intersections(a, HalfCircle((0.0, 0.0), 2.0, "east")) == (2, False)
 
 
 def test_transforms_flip_the_bulge():
-    arc = half_circle((1.0, 0.0), 2.0, "west")
+    arc = HalfCircle((1.0, 0.0), 2.0, "west")
     assert reflect_piece_x(arc, 3.0).side == "east"
     assert reflect_piece_x(arc, 3.0).center == (5.0, 0.0)
     spun = rotate_piece_180(arc, (4.0, 1.0))
@@ -74,7 +73,7 @@ def test_transforms_flip_the_bulge():
 
 
 def test_piece_point_distance_respects_the_half():
-    arc = half_circle((0.0, 0.0), 2.0, "west")
+    arc = HalfCircle((0.0, 0.0), 2.0, "west")
     assert comes_within(arc, (-4.0, 0.0), 2 + 2**-20)
     assert not comes_within(arc, (-4.0, 0.0), 2 - 2**-20)
     # a probe on the undrawn side measures to the nearer endpoint, sqrt(20) away
@@ -83,7 +82,7 @@ def test_piece_point_distance_respects_the_half():
 
 
 def test_a_line_just_above_the_pole_misses_the_arc():
-    arc = half_circle((0.0, 0.0), 2.0, "west")
+    arc = HalfCircle((0.0, 0.0), 2.0, "west")
     y = 2 + 2**-40
     assert piece_intersections(seg(-5, y, 5, y), arc) == (0, False)
 
@@ -96,7 +95,6 @@ def test_an_arc_runs_between_the_poles_of_its_circle():
     arc = HalfCircle((0.0, 0.0), 2.0, "west", False)
     assert arc.start == (0.0, -2.0)
     assert arc.end == (0.0, 2.0)
-    assert half_circle is HalfCircle
 
 
 @pytest.mark.parametrize("side,radius", [("north", 1.0), ("west", 0.0), ("east", -1.0)])
@@ -359,7 +357,7 @@ def quarter_grid_diagrams(draw):
             r = draw(st.integers(1, 16)) / 4
             down = draw(st.booleans())
             side = draw(st.sampled_from(("west", "east")))
-            arc = half_circle((x, y - r if down else y + r), r, side, start_at_top=down)
+            arc = HalfCircle((x, y - r if down else y + r), r, side, start_at_top=down)
             pieces.append(arc)
             nx, ny = arc.end
         x, y = nx, ny

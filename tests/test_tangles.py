@@ -1,8 +1,11 @@
 import itertools
 import random
 
+import pytest
+
 from pullcalc.diagrams.tangles import (
     Crossing,
+    TangleDiagram,
     build_tangle,
     format_tangle,
     parse_tangle,
@@ -66,6 +69,22 @@ def test_build_tangle_records_crossings_in_order():
         Crossing("bottom-side", 1),
         Crossing("right-side", -1),
     )
+
+
+def test_a_tangle_diagram_is_its_twist_word():
+    d = build_tangle(iter([0, 3]))
+    assert d == TangleDiagram((0, 3))
+    assert d.twists == (0, 3)
+    assert d.crossings == (Crossing("right-side", 1), Crossing("bottom-side", -1))
+    assert (d.width, d.height) == (2.0, 2.0)
+
+
+@pytest.mark.parametrize("twists", [(0, 4), (-1,), ("V",)])
+def test_a_tangle_diagram_refuses_a_bad_twist_code(twists):
+    with pytest.raises(ValueError, match="bad twist code"):
+        TangleDiagram(twists)
+    with pytest.raises(ValueError, match="bad twist code"):
+        build_tangle(twists)
 
 
 def test_build_tangle_empty():

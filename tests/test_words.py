@@ -89,6 +89,36 @@ def test_parse_refuses_a_word_past_the_turn_budget(text, offset):
     assert exc.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "text", ["R^" + "1" * 5000, "R^-" + "1" * 5000], ids=["5000 ones", "minus 5000 ones"]
+)
+def test_parse_refuses_an_exponent_too_long_to_convert(text):
+    # past Python's 4,300-digit int() limit: refused at the exponent
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word(text)
+    assert exc.value.offset == 2
+    assert "word longer than %d turns" % MAX_TURNS in str(exc.value)
+
+
+def test_parse_refuses_a_superscript_exponent_at_its_offset():
+    # "²" is a digit to str.isdigit but not to int()
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word("R^²")
+    assert exc.value.offset == 2
+
+
+def test_parse_leading_zeros_do_not_count_toward_the_exponent():
+    assert parse_word("R^" + "0" * 5000 + "1") == (R,)
+    assert parse_word("L^-" + "0" * 5000 + "2") == (L_INV, L_INV)
+
+
+def test_eval_of_an_exponent_too_long_to_convert_names_its_offset():
+    result = run(["eval", "R^" + "1" * 5000])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "pullcalc: word longer than %d turns at offset 2\n" % MAX_TURNS
+
+
 @pytest.mark.parametrize("word", ["R^-99999999999", "R^100000000000000000000000"])
 def test_eval_of_a_huge_exponent_is_one_line_of_error(word):
     result = run(["eval", word])
@@ -136,6 +166,17 @@ def test_parse_of_format_reduces_to_reduce(ws):
 
 
 # --- free reduction --------------------------------------------------------
+
+def test_reduce_cancels_pairs():
+    assert reduce((0, 2)) == ()
+    assert reduce((0, 1, 3, 2)) == ()
+    assert reduce((0, 0, 3)) == (0, 0, 3)
+
+
+def test_reduce_rejects_a_bad_turn_code():
+    with pytest.raises(ValueError):
+        reduce((0, -1))
+
 
 def test_reduce_examples():
     assert reduce(parse_word("R^-1 R^2 L")) == parse_word("R L")
