@@ -33,12 +33,27 @@ def _frac(q: ExtRational) -> dict:
     return {"num": q.num, "den": q.den}
 
 
-def _value_of(text: str) -> ExtRational:
-    """Read either a fraction ("9/7", "-2") or a turn word ("R^2 L")."""
-    try:
+_FRACTION_START = re.compile(r"\s*-?\d")
+
+
+def _fraction_or_word(text: str):
+    """A fraction ("9/7", "-2") or a turn word ("R^2 L"), by its first sign.
+
+    Text that starts like a fraction, with a digit or a minus sign
+    (which no word can start with), is read as a fraction alone, so a
+    bad fraction is reported as one.
+    """
+    if _FRACTION_START.match(text):
         return parse_fraction(text)
-    except ValueError:
-        return treewalk.taffy_number(words.parse_word(text))
+    return words.parse_word(text)
+
+
+def _value_of(text: str) -> ExtRational:
+    """The fraction that a fraction or a turn word names."""
+    value = _fraction_or_word(text)
+    if isinstance(value, ExtRational):
+        return value
+    return treewalk.taffy_number(value)
 
 
 def _accept_negative_fractions(parser: argparse.ArgumentParser) -> None:
@@ -116,14 +131,11 @@ def _cmd_layers(args):
 
 
 def _cmd_cf(args):
-    try:
-        q = parse_fraction(args.value)
-    except ValueError:
-        word = words.parse_word(args.value)
-        coeffs = treewalk.word_to_cf(word)
-        q = treewalk.taffy_number(word)
+    value = _fraction_or_word(args.value)
+    if isinstance(value, ExtRational):
+        q, coeffs = value, cf_expand(value)
     else:
-        coeffs = cf_expand(q)
+        q, coeffs = treewalk.taffy_number(value), treewalk.word_to_cf(value)
     if args.json:
         return {"coefficients": list(coeffs), "value": _frac(q)}
     return format_cf(coeffs)

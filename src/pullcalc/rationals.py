@@ -43,6 +43,22 @@ class ExtRational:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _coprime(cls, num: int, den: int) -> "ExtRational":
+        """num/den from a pair already in lowest terms: no gcd is taken.
+
+        Only the sign moves to the numerator and n/0 becomes 1/0; the
+        callers are unimodular steps from lowest terms.
+        """
+        if den < 0:
+            num, den = -num, -den
+        elif den == 0:
+            num = 1
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("ExtRational is immutable")
 
@@ -84,7 +100,7 @@ def apply_turn_rule(q: ExtRational, turn: int) -> ExtRational:
     The result is in lowest terms with a non-negative denominator; at
     1/0 both R rules are fixed points and the L rules step to +-1/1.
     """
-    return ExtRational(*kernel.fold_turns((turn,), q.num, q.den))
+    return ExtRational._coprime(*kernel.fold_turns((turn,), q.num, q.den))
 
 
 def neg_recip(q: ExtRational) -> ExtRational:
@@ -102,11 +118,12 @@ def cf_eval(coeffs: Sequence[int]) -> ExtRational:
     coeffs = list(coeffs)
     if not coeffs:
         raise ValueError("a continued fraction needs at least one coefficient")
-    value = ExtRational(coeffs[-1], 1)
+    # c + 1/(p/q) = (c*p + q)/p is unimodular, so p/q stays in lowest
+    # terms from the first coefficient over 1 to the end.
+    p, q = coeffs[-1], 1
     for c in reversed(coeffs[:-1]):
-        # c + 1/value in one normalized step
-        value = ExtRational(c * value.num + value.den, value.num)
-    return value
+        p, q = c * p + q, p
+    return ExtRational._coprime(p, q)
 
 
 def cf_expand(q: ExtRational) -> ContinuedFraction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
 from pullcalc import kernel, words
-from pullcalc.rationals import ExtRational, apply_turn_rule, cf_expand
+from pullcalc.rationals import ExtRational, cf_expand
 from pullcalc.words import L, L_INV, R, R_INV, TurnWord
 
 
@@ -51,17 +51,16 @@ INFINITY = CanonicalClass("infinity", (R, L_INV))
 
 def taffy_number(word: Sequence[int]) -> ExtRational:
     """Fold the four turn rules over ``word`` from the seed 0/1."""
-    a, b = kernel.fold_turns(tuple(word), 0, 1)
-    return ExtRational(a, b)
+    return ExtRational._coprime(*kernel.fold_turns(word, 0, 1))
 
 
 def number_trace(word: Sequence[int]) -> List[ExtRational]:
     """Every intermediate fraction, seed first, one entry per turn."""
-    q = ExtRational(0, 1)
-    trace = [q]
+    a, b = 0, 1
+    trace = [ExtRational._coprime(a, b)]
     for t in word:
-        q = apply_turn_rule(q, t)
-        trace.append(q)
+        a, b = kernel.fold_turns((t,), a, b)
+        trace.append(ExtRational._coprime(a, b))
     return trace
 
 
@@ -108,31 +107,110 @@ def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     fraction, forces the expansion to odd length with the tail identity
     [..., c] = [..., c - 1, 1], and reads the runs off in reverse.
     Negative fractions take the run-negated word of their absolute
-    value.
+    value.  The word has as many turns as the coefficients sum to, and
+    a word of more than MAX_TURNS turns is refused before either mode
+    builds or walks anything.
     """
     if q.den == 0:
         return INFINITY
     if q.num == 0:
         return INITIAL
     a, b = abs(q.num), q.den
+    coeffs = list(cf_expand(ExtRational._coprime(a, b)))
+    if sum(coeffs) > words.MAX_TURNS:
+        raise ValueError("canonical word longer than %d turns" % words.MAX_TURNS)
     if mode == "slow":
         word = tuple(reversed([turn for _, _, turn in _subtractive_walk(a, b)]))
+        if q.num < 0:
+            word = words.negate_runs(word)
     elif mode == "fast":
-        coeffs = list(cf_expand(ExtRational(a, b)))
         if len(coeffs) % 2 == 0:
             coeffs[-1] -= 1
             coeffs.append(1)
-        word = words.from_run_form(tuple(reversed(coeffs)))
+        sign = -1 if q.num < 0 else 1
+        word = words.from_run_form([sign * c for c in reversed(coeffs)])
     else:
         raise ValueError("unknown mode %r" % mode)
-    if q.num < 0:
-        return CanonicalClass("reverse", words.negate_runs(word))
-    return CanonicalClass("forward", word)
+    return CanonicalClass("reverse" if q.num < 0 else "forward", word)
 
 
 def canonicalize_arith(word: Sequence[int]) -> CanonicalClass:
     """Canonical class of a word by going through its number."""
     return canonical_word(taffy_number(word))
+
+
+# The rewrite pass keeps its class as a state [tag, body, mask]: the
+# class word is the leading turn (R forward, R^-1 reverse) followed by
+# body[i] ^ mask.  The two special tags ignore body and mask.
+
+_ROTATED = {"initial": "infinity", "infinity": "initial", "forward": "reverse", "reverse": "forward"}
+
+# The tag reached from a special class by R, L, R^-1 and L^-1.
+_FROM_SPECIAL = {
+    "initial": ("forward", "initial", "reverse", "initial"),
+    "infinity": ("infinity", "forward", "infinity", "reverse"),
+}
+
+
+def _state(c: CanonicalClass) -> list:
+    return [c.tag, list(c.word[1:]), 0]
+
+
+def _class(state: list) -> CanonicalClass:
+    tag, body, mask = state
+    if tag == "initial":
+        return INITIAL
+    if tag == "infinity":
+        return INFINITY
+    lead = R if tag == "forward" else R_INV
+    return CanonicalClass(tag, (lead,) + tuple(t ^ mask for t in body))
+
+
+def _rotate(state: list) -> None:
+    """Turn the class of Q into that of -1/Q, in place and in O(1).
+
+    The special classes swap.  Otherwise the leading turn flips
+    between R and R^-1 and every later turn is mirrored and inverted,
+    which is ``t ^ 3`` on its code.
+    """
+    state[0] = _ROTATED[state[0]]
+    state[2] ^= 3
+
+
+def _rewrite_step(state: list, turn: int) -> None:
+    """Append one turn to a rewrite state, in place.
+
+    From the two special classes the new class is a table lookup.
+    Otherwise the turn cancels the word's last turn, extends the word,
+    or, when it runs against the word's direction without cancelling,
+    gives the rotation of the class obtained by appending the opposite
+    turn to the shortened word.  That shortened class is the word with
+    its last turn swapped for the other letter (or, for the lone leading
+    turn, the initial class, whose rotation is infinity).  That last
+    identity is what keeps the whole pass arithmetic-free.
+    """
+    if turn not in (R, L, R_INV, L_INV):
+        raise ValueError("bad turn code %r" % (turn,))
+    tag, body, mask = state
+    if tag in _FROM_SPECIAL:
+        state[0] = _FROM_SPECIAL[tag][turn]
+        body.clear()
+        state[2] = 0
+        return
+    forward = tag == "forward"
+    last = body[-1] ^ mask if body else (R if forward else R_INV)
+    if turn == last ^ 2:
+        if body:
+            body.pop()
+        else:
+            state[0] = "initial"
+    elif (turn < 2) == forward:
+        body.append(turn ^ mask)
+    elif body:
+        body[-1] ^= 1
+        _rotate(state)
+    else:
+        state[0] = "infinity"
 
 
 def rotate_canonical(c: CanonicalClass) -> CanonicalClass:
@@ -142,64 +220,27 @@ def rotate_canonical(c: CanonicalClass) -> CanonicalClass:
     for everything else, mirrors the letters after the leading turn and
     negates every run.  An involution, and free of any arithmetic.
     """
-    if c.tag == "initial":
-        return INFINITY
-    if c.tag == "infinity":
-        return INITIAL
-    if c.tag == "forward":
-        mirrored = (R,) + tuple(t ^ 1 for t in c.word[1:])
-        return CanonicalClass("reverse", words.negate_runs(mirrored))
-    positive = words.negate_runs(c.word)
-    return CanonicalClass("forward", (R,) + tuple(t ^ 1 for t in positive[1:]))
-
-
-_FROM_INITIAL = {
-    R: CanonicalClass("forward", (R,)),
-    R_INV: CanonicalClass("reverse", (R_INV,)),
-    L: INITIAL,
-    L_INV: INITIAL,
-}
-
-_FROM_INFINITY = {
-    R: INFINITY,
-    R_INV: INFINITY,
-    L: CanonicalClass("forward", (R,)),
-    L_INV: CanonicalClass("reverse", (R_INV,)),
-}
+    state = _state(c)
+    _rotate(state)
+    return _class(state)
 
 
 def append_turn(c: CanonicalClass, turn: int) -> CanonicalClass:
-    """Canonical class of c's word followed by one more turn.
-
-    The two special classes are table lookups.  Otherwise the new turn
-    either extends the word, cancels its last turn, or (when it runs
-    against the word's direction without cancelling) rotates the class
-    obtained by appending the opposite turn to the shortened word.
-    That last identity is what keeps the whole pass arithmetic-free.
-    """
-    if turn not in (R, L, R_INV, L_INV):
-        raise ValueError("bad turn code %r" % (turn,))
-    if c.tag == "initial":
-        return _FROM_INITIAL[turn]
-    if c.tag == "infinity":
-        return _FROM_INFINITY[turn]
-    last = c.word[-1]
-    if turn == last ^ 2:
-        rest = c.word[:-1]
-        return CanonicalClass(c.tag, rest) if rest else INITIAL
-    extends = turn < 2 if c.tag == "forward" else turn >= 2
-    if extends:
-        return CanonicalClass(c.tag, c.word + (turn,))
-    base = CanonicalClass(c.tag, c.word[:-1]) if len(c.word) > 1 else INITIAL
-    return rotate_canonical(append_turn(base, turn ^ 2))
+    """Canonical class of c's word followed by one more turn."""
+    state = _state(c)
+    _rewrite_step(state, turn)
+    return _class(state)
 
 
 def canonicalize_rewrite(word: Sequence[int]) -> CanonicalClass:
-    """Canonical class of a word without ever computing a fraction."""
-    c = INITIAL
+    """Canonical class of a word without ever computing a fraction.
+
+    One rewrite step per turn, each O(1), so the pass is linear.
+    """
+    state = _state(INITIAL)
     for t in word:
-        c = append_turn(c, t)
-    return c
+        _rewrite_step(state, t)
+    return _class(state)
 
 
 def equivalent(w1: Sequence[int], w2: Sequence[int]) -> bool:

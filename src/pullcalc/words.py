@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from pullcalc import kernel
+
 R = 0
 L = 1
 R_INV = 2
@@ -124,16 +126,51 @@ def format_word(word: Sequence[int], style: str = "plain", letters: tuple = ("R"
     return " ".join(parts) if parts else "e"
 
 
+_EMPTY = object()  # tops an empty stack; equal to no turn code
+
+
+def _reduced_blocks(word: Iterable[int]) -> tuple:
+    """Free reduction on blocks: the codes and counts of the reduced word.
+
+    A stack runs over the word's blocks, and each block cancels against
+    at most the top entry: once reduced, neighbouring entries differ in
+    letter (equal codes merge, inverse codes cancel), so whatever a
+    block has left after the top entry is gone starts a new entry.
+    """
+    codes, counts = [], []
+    top = undo = _EMPTY  # the code on top of the stack and its inverse
+    for t, k in kernel._blocks(word):
+        if t == top:
+            counts[-1] += k
+        elif t == undo:
+            left = counts[-1] - k
+            if left > 0:
+                counts[-1] = left
+                continue
+            codes.pop()
+            counts.pop()
+            if left:
+                codes.append(t)
+                counts.append(-left)
+                top, undo = t, t ^ 2
+            elif codes:
+                top, undo = codes[-1], codes[-1] ^ 2
+            else:
+                top = undo = _EMPTY
+        elif t in (0, 1, 2, 3):
+            codes.append(t)
+            counts.append(k)
+            top, undo = t, t ^ 2
+        else:
+            raise ValueError("bad turn code %r" % (t,))
+    return codes, counts
+
+
 def reduce(word: Iterable[int]) -> TurnWord:
     """Freely reduce: cancel every adjacent turn/inverse pair."""
     out = []
-    for t in word:
-        if t not in (0, 1, 2, 3):
-            raise ValueError("bad turn code %r" % (t,))
-        if out and out[-1] == t ^ 2:
-            out.pop()
-        else:
-            out.append(t)
+    for t, k in zip(*_reduced_blocks(word)):
+        out += [t] * k
     return tuple(out)
 
 
@@ -143,19 +180,9 @@ def to_run_form(word: Iterable[int]) -> tuple:
     A leading 0 appears when the word starts with an L-family turn, so
     even positions always hold R runs.  The empty word maps to ().
     """
-    reduced = reduce(word)
-    groups = []
-    for t in reduced:
-        letter = t & 1
-        step = -1 if t >= 2 else 1
-        if groups and groups[-1][0] == letter:
-            groups[-1][1] += step
-        else:
-            groups.append([letter, step])
-    runs = []
-    if groups and groups[0][0] == 1:
-        runs.append(0)
-    runs.extend(value for _, value in groups)
+    codes, counts = _reduced_blocks(word)
+    runs = [0] if codes and codes[0] & 1 else []
+    runs += [-k if t >= 2 else k for t, k in zip(codes, counts)]
     return tuple(runs)
 
 

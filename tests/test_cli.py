@@ -297,3 +297,23 @@ def test_json_document(capsys, argv, expected):
     assert code == 0 and err == ""
     assert out.endswith("}\n") and out.count("\n") == 1
     assert json.loads(out) == expected
+
+
+# --- refusals that name their cause -------------------------------------------------
+
+@pytest.mark.parametrize("command", ["render-taffy", "cf"])
+def test_a_bad_fraction_is_reported_as_a_fraction(command):
+    result = run_inproc([command, "0/0"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "pullcalc: not a fraction: 0/0\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--mode", "slow"]])
+def test_invert_refuses_a_canonical_word_past_the_turn_budget(extra):
+    result = run_inproc(["invert", "1/1000000000"] + extra)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("pullcalc: ")
+    assert "Traceback" not in result.stderr

@@ -1,9 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pullcalc import words
+from pullcalc.analysis import cw_row
 from pullcalc.rationals import (
     apply_turn_rule,
     cf_eval,
@@ -13,6 +14,7 @@ from pullcalc.rationals import (
     neg_recip,
     parse_fraction,
 )
+from pullcalc.treewalk import number_trace, taffy_number
 
 ints = st.integers(min_value=-10_000, max_value=10_000)
 
@@ -209,3 +211,58 @@ def test_format_cf():
     assert format_cf((1, 3, 2)) == "[1; 3, 2]"
     assert format_cf((5,)) == "[5]"
     assert format_cf((-1, 1, 2)) == "[-1; 1, 2]"
+
+
+# --- lowest terms without a gcd --------------------------------------------
+#
+# taffy_number, number_trace, apply_turn_rule (so cw_row) and cf_eval
+# build their results without a gcd, trusting unimodularity.
+
+def assert_normal(q):
+    assert q.den >= 0
+    assert math.gcd(q.num, q.den) == 1
+    if q.den == 0:
+        assert q.num == 1
+
+
+def cf_eval_normalizing_every_step(coeffs):
+    """Reference: c + 1/value, brought to lowest terms after each step."""
+    value = make(coeffs[-1], 1)
+    for c in reversed(coeffs[:-1]):
+        value = make(c * value.num + value.den, value.num)
+    return value
+
+
+long_run_words = st.lists(
+    st.tuples(st.sampled_from((words.R, words.L, words.R_INV, words.L_INV)), st.integers(1, 200)),
+    max_size=8,
+).map(lambda blocks: tuple(t for t, k in blocks for _ in range(k)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_run_words)
+def test_number_trace_stays_in_lowest_terms(word):
+    trace = number_trace(word)
+    for q in trace:
+        assert_normal(q)
+    assert trace[-1] == taffy_number(word)
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=30))
+def test_cf_eval_stays_in_lowest_terms(coeffs):
+    q = cf_eval(coeffs)
+    assert_normal(q)
+    assert q == cf_eval_normalizing_every_step(coeffs)
+
+
+def test_cf_eval_through_infinity_and_back():
+    assert cf_eval([0, 0]) == make(1, 0)
+    assert cf_eval([3, -1, 1]) == make(1, 0)
+    assert cf_eval([3, 1, -1, 1]) == make(3, 1)
+    assert cf_eval([5, 1, -1]) == make(1, 0)  # lands on -1/0
+
+
+def test_tree_rows_stay_in_lowest_terms():
+    for n in range(1, 11):
+        for q in cw_row(n).entries:
+            assert_normal(q)

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pullcalc import words
 from pullcalc.rationals import make, neg_recip
@@ -266,3 +267,34 @@ def test_slow_euclid_trace_of_one():
 def test_slow_euclid_trace_rejects_non_positive_input(q):
     with pytest.raises(ValueError):
         slow_euclid_trace(q)
+
+
+# --- long words and bounded canonical words -----------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(200, 5000), st.randoms(use_true_random=False))
+def test_rewrite_agrees_with_arithmetic_on_long_mixed_words(n, rng):
+    word = []
+    while len(word) < n:
+        word += [rng.randrange(4)] * min(n - len(word), rng.choice((1, 1, 2, 3, 40)))
+    word = tuple(word)
+    assert canonicalize_rewrite(word) == canonicalize_arith(word)
+
+
+def test_rewrite_of_a_long_word_and_its_inverse_is_initial():
+    rng = random.Random(5)
+    word = tuple(rng.randrange(4) for _ in range(5000))
+    assert canonicalize_rewrite(word + words.invert_word(word)) == INITIAL
+
+
+@pytest.mark.parametrize("mode", ["fast", "slow"])
+def test_canonical_word_refuses_a_word_past_the_turn_budget(mode):
+    for q in (make(1, words.MAX_TURNS + 2), make(-1, words.MAX_TURNS + 2), make(10**30, 1)):
+        with pytest.raises(ValueError, match="longer than %d turns" % words.MAX_TURNS):
+            canonical_word(q, mode)
+
+
+def test_canonical_word_length_is_the_coefficient_sum():
+    q = make(-1, 150)
+    assert canonical_word(q) == cls("reverse", "R^-1 L^-149")
+    assert len(canonical_word(q, "slow").word) == 150

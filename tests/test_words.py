@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pullcalc.cli import run
 from pullcalc.words import (
@@ -263,3 +263,39 @@ def test_invert_word_examples():
 def test_negate_runs_flips_every_turn_in_place():
     assert negate_runs(parse_word("R^2 L")) == parse_word("R^-2 L^-1")
     assert negate_runs(parse_word("R^-1 L^-2")) == parse_word("R L^2")
+
+
+# --- long words, folded and reduced by blocks --------------------------------
+
+def block_words(max_count, max_blocks=8):
+    """Words made of blocks of one turn repeated 1 to max_count times."""
+    return st.lists(
+        st.tuples(st.sampled_from(ALL_TURNS), st.integers(1, max_count)), max_size=max_blocks
+    ).map(lambda blocks: tuple(t for t, k in blocks for _ in range(k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_words(60, max_blocks=10), st.randoms(use_true_random=False))
+def test_block_reduction_equals_the_reference(word, rng):
+    assert reduce(word) == _reduce_in_random_order(word, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_words(10**4))
+def test_run_form_of_long_words_round_trips(word):
+    runs = to_run_form(word)
+    assert from_run_form(runs) == reduce(word)
+    assert to_run_form(from_run_form(runs)) == runs
+    assert all(runs[1:-1])
+
+
+def test_block_reduction_cancels_across_long_blocks():
+    word = (R,) * 5000 + (L,) * 70 + (L_INV,) * 70 + (R_INV,) * 4999 + (L_INV,) * 100
+    assert reduce(word) == (R,) + (L_INV,) * 100
+    assert to_run_form(word) == (1, -100)
+    assert to_run_form((L,) * 100 + (L_INV,) * 101) == (0, -1)
+
+
+def test_reduce_rejects_a_bad_code_in_a_long_word():
+    with pytest.raises(ValueError, match="bad turn code 7"):
+        reduce((R,) * 100 + (7,))
