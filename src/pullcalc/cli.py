@@ -37,7 +37,7 @@ _FRACTION_START = re.compile(r"\s*-?\d")
 
 
 def _fraction_or_word(text: str):
-    """A fraction ("9/7", "-2") or a turn word ("R^2 L"), by its first sign.
+    """A fraction ("9/7", "-2") or a turn word ("R^2 L"), by how it starts.
 
     Text that starts like a fraction, with a digit or a minus sign
     (which no word can start with), is read as a fraction alone, so a

@@ -78,11 +78,10 @@ def main(argv) -> int:
         return 2
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
-    command = [sys.executable if word == "python3" else word for word in spec["command"]]
     runs = []
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
-            runs.append(run(command, workload, spec["run_seconds"], trace))
+            runs.append(run(spec["command"], workload, spec["run_seconds"], trace))
             print(workload, "trace", trace, "done", file=sys.stderr, flush=True)
     document = {
         "revision": git("rev-parse", "HEAD"),
