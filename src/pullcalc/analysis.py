@@ -10,7 +10,6 @@ maxima, and step-by-step growth reports for a given pull.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 from pullcalc import kernel, treewalk, words
@@ -20,10 +19,10 @@ from pullcalc.words import TurnWord
 
 DEPTH_CAP = 25
 BRUTE_FORCE_CAP = 16
+CLOSED_FORM_CAP = 20000  # F(n+2) then has 4,180 digits, under str()'s limit of 4,300
 
 
-@dataclass(frozen=True)
-class RowListing:
+class RowListing(NamedTuple):
     depth: int
     entries: tuple  # tuple[ExtRational, ...] in left-to-right tree order
 
@@ -105,6 +104,8 @@ def max_total_layers(n: int, mode: str = "closed-form"):
     if n < 0:
         raise ValueError("word length must be non-negative")
     if mode == "closed-form":
+        if n > CLOSED_FORM_CAP:
+            raise ValueError("the closed form is capped at %d turns" % CLOSED_FORM_CAP)
         return fibonacci(n + 2), alternating_word(n)
     if mode != "brute-force":
         raise ValueError("unknown mode %r" % mode)

@@ -11,35 +11,40 @@ decides the sign of ``u + v*sqrt(D)`` from the integers alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Point = tuple  # (x, y)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     start: Point
     end: Point
 
 
-@dataclass(frozen=True)
-class HalfCircle:
+class _HalfCircle(NamedTuple):
+    center: Point
+    radius: float
+    side: str  # "west" or "east": which half of the circle is drawn
+    start_at_top: bool = True
+
+
+class HalfCircle(_HalfCircle):
     """The west or east half of a circle, drawn from one pole to the other.
 
     The ends are the poles of the circle, never stored on their own,
     so an arc cannot claim ends its circle does not pass through.
     """
 
-    center: Point
-    radius: float
-    side: str  # "west" or "east": which half of the circle is drawn
-    start_at_top: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in ("west", "east"):
+    def __new__(cls, center, radius, side, start_at_top=True):
+        if side not in ("west", "east"):
             raise ValueError("side must be 'west' or 'east'")
-        if not self.radius > 0:
+        if not radius > 0:
             raise ValueError("radius must be positive")
+        return super().__new__(cls, center, radius, side, start_at_top)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
     @property
     def start(self) -> Point:

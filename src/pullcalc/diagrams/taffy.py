@@ -12,7 +12,7 @@ homework.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..rationals import ExtRational, neg_recip
 from ..treewalk import LayerCounts
@@ -33,15 +33,13 @@ STRAND_GAP = 6.0  # SVG pixels per model unit, the spacing of neighbouring layer
 STROKE_WIDTH = 2.0
 
 
-@dataclass(frozen=True)
-class TaffyDiagram:
+class TaffyDiagram(NamedTuple):
     pegs: tuple  # three (x, y) centers, west to east, each of radius PEG_RADIUS
     strand: tuple  # drawable pieces in path order
     counts: LayerCounts
 
 
-@dataclass(frozen=True)
-class TaffyReport:
+class TaffyReport(NamedTuple):
     expected: LayerCounts
     measured: LayerCounts
     single_arc: bool
@@ -364,14 +362,7 @@ def render_taffy_svg(diagram: TaffyDiagram) -> str:
     if not report.passes:
         raise ValueError(
             "diagram fails verification: counts %s vs %s, single_arc=%s, "
-            "ends_on_pegs=%s, embedded=%s"
-            % (
-                report.expected,
-                report.measured,
-                report.single_arc,
-                report.ends_on_pegs,
-                report.embedded,
-            )
+            "ends_on_pegs=%s, embedded=%s" % report
         )
 
     pegs = sorted(diagram.pegs)

@@ -10,7 +10,6 @@ the same number the turn fold produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .. import words
@@ -41,16 +40,22 @@ class Crossing(NamedTuple):
     sign: int  # +1 for V/H, -1 for their inverses
 
 
-@dataclass(frozen=True)
-class TangleDiagram:
-    """A tangle diagram is its twist word; the crossings are read off it."""
-
+class _TangleDiagram(NamedTuple):
     twists: tuple
 
-    def __post_init__(self):
-        for t in self.twists:
+
+class TangleDiagram(_TangleDiagram):
+    """A tangle diagram is its twist word; the crossings are read off it."""
+
+    __slots__ = ()
+
+    def __new__(cls, twists):
+        for t in twists:
             if t not in (0, 1, 2, 3):
                 raise ValueError("bad twist code %r" % (t,))
+        return super().__new__(cls, twists)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace is checked too
 
     @property
     def crossings(self) -> tuple:

@@ -10,7 +10,6 @@ rewriting pass that never touches a fraction at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
 from pullcalc import kernel, words
@@ -28,8 +27,7 @@ class TraceStep(NamedTuple):
     direction: str
 
 
-@dataclass(frozen=True)
-class CanonicalClass:
+class CanonicalClass(NamedTuple):
     """A canonical word together with which of the four shapes it has.
 
     ``initial`` is the empty word (0/1) and ``infinity`` is R L^-1

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from pullcalc.analysis import fibonacci
 from pullcalc.cli import main, run as run_inproc
 
 
@@ -148,6 +150,20 @@ def test_maxlayers_brute(capsys):
     doc = json.loads(out)
     assert doc["total"] == 21
     assert doc["witness"] == "R R L R L R"
+
+
+@pytest.mark.parametrize("length", ["20001", "100000000"])
+def test_maxlayers_closed_form_is_capped(length):
+    start = time.perf_counter()
+    result = run_inproc(["maxlayers", length])
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", "pullcalc: the closed form is capped at 20000 turns\n")
+
+
+def test_maxlayers_answers_at_the_cap():
+    result = run_inproc(["maxlayers", "20000"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith("total %d\nwitness R L R L " % fibonacci(20002))
 
 
 def test_report_rows(capsys):

@@ -1,9 +1,11 @@
 """Every module of the package uses each name it imports, and every
 name the package defines is read somewhere; exporting a name is not
-reading it."""
+reading it.  Starting the CLI loads no ``dataclasses``."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -87,3 +89,15 @@ def test_every_definition_is_read_or_exported():
     defining = {p.relative_to(SRC).as_posix(): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     reading = [p.read_text() for p in sorted((ROOT / "tests").rglob("*.py"))]
     assert dead_definitions(defining, reading) == []
+
+
+def test_the_cli_loads_no_dataclasses_machinery():
+    """Every record is a NamedTuple, so a cold start of the CLI loads
+    neither ``dataclasses`` nor the modules it pulls in."""
+    code = "import sys; sys.path.insert(0, %r); import pullcalc.cli; print(*sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code % str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "pullcalc.cli" in loaded
+    assert [m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize") if m in loaded] == []
