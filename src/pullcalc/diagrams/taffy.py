@@ -7,10 +7,19 @@ number in lowest terms.  ``verify_taffy`` re-measures those counts
 from the raw geometry and checks that the strand is one embedded arc
 with both ends on pegs, so the builder never gets to grade its own
 homework.
+
+The embedding check is a Shamos-Hoey plane sweep (FOCS 1976) on the
+exact predicates of ``geometry``.  Each half circle is split at its
+equator into two x-monotone quarters; the sweep visits part ends in
+(x, y) order and hands ``piece_intersections`` only the pairs that
+meet at such a point or become neighbours in the sweep, about three
+per piece instead of every pair with overlapping boxes.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -20,6 +29,7 @@ from .geometry import (
     HalfCircle,
     Segment,
     _map_piece,
+    _sign,
     bounding_box,
     comes_within,
     piece_intersections,
@@ -31,6 +41,7 @@ from .geometry import (
 PEG_RADIUS = 0.5
 STRAND_GAP = 6.0  # SVG pixels per model unit, the spacing of neighbouring layers
 STROKE_WIDTH = 2.0
+TAFFY_CAP = 10000  # largest |num| + den that build_taffy draws
 
 
 class TaffyDiagram(NamedTuple):
@@ -217,8 +228,11 @@ def build_taffy(q: ExtRational) -> TaffyDiagram:
     Negative values are the 180-degree rotation of their negated
     reciprocal; a right-heavy pair is the mirror of the left-heavy
     core.  Either way the verifier re-measures the counts from
-    scratch.
+    scratch.  Values with |num| + den past TAFFY_CAP are refused
+    before any work.
     """
+    if abs(q.num) + q.den > TAFFY_CAP:
+        raise ValueError("taffy diagrams are capped at %d layers" % TAFFY_CAP)
     if q.num < 0:
         return rotate_taffy(build_taffy(neg_recip(q)))
     right, left = q.num, q.den
@@ -264,24 +278,134 @@ def _crossings(pieces, line_x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _parts(pieces):
+    """The strand as x-monotone parts (start, end, piece, t, cx, cy, r).
+
+    start is the lexicographically smaller end.  A segment is one part
+    with t = 0 (and r = 1).  A half circle is split at its equator into an upper
+    quarter (t = -1) and a lower one (t = 1), so each quarter is the
+    graph of y = cy - t * sqrt(r*r - (x - cx)**2) and t / r is its
+    signed curvature.
+    """
+    parts = []
+    for i, piece in enumerate(pieces):
+        if isinstance(piece, Segment):
+            a, b = piece
+            parts.append((a, b, i, 0, 0, 0, 1) if a <= b else (b, a, i, 0, 0, 0, 1))
+            continue
+        (cx, cy), r, side, _ = piece
+        equator = (cx - r if side == "west" else cx + r, cy)
+        for t in (-1, 1):
+            pole = (cx, cy - t * r)
+            a, b = (equator, pole) if equator < pole else (pole, equator)
+            parts.append((a, b, i, t, cx, cy, r))
+    return parts
+
+
+def _side(part, x, y) -> int:
+    """Sign of the point (x, y) against an active part: 1 above, 0 on, -1 below.
+
+    The part spans x.  An active vertical segment always holds the
+    event point, since events visit points in (x, y) order.
+    """
+    (x1, y1), (x2, y2), _, t, cx, cy, r = part
+    if t:
+        return _sign(y - cy, t, r * r - (x - cx) ** 2)
+    if x1 == x2:
+        return 0
+    v = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+    return (v > 0) - (v < 0)
+
+
+def _tangent(part):
+    (x1, y1), (x2, y2), _, t, _, cy, _ = part
+    if not t:
+        return x2 - x1, y2 - y1
+    return (0, -t) if y1 == cy else (1, 0)  # from the equator or from a pole
+
+
+def _leaves_below(a, b) -> int:
+    """Order two parts just after their common start: -1 if a runs below b.
+
+    Directions compare by cross product, with (0, 1) the highest and
+    (0, -1) the lowest; equal directions compare by signed curvature.
+    """
+    (ux, uy), (vx, vy) = _tangent(a), _tangent(b)
+    turn = ux * vy - uy * vx
+    if not turn and uy * vy < 0:
+        turn = vy  # (0, -1) against (0, 1)
+    if not turn:
+        turn = b[3] * a[6] - a[3] * b[6]
+    return (turn < 0) - (turn > 0)
+
+
+_LEAVING_ORDER = functools.cmp_to_key(_leaves_below)
+
+
+def _clash(pieces, i, j) -> bool:
+    """Do pieces i and j touch anywhere but at their shared joint?
+
+    A piece never clashes with itself: its two quarters share their end.
+    """
+    if i == j:
+        return False
+    a, b = (i, j) if i < j else (j, i)
+    count, overlap = piece_intersections(pieces[a], pieces[b])
+    if overlap:
+        return True
+    if count == 0:
+        return False
+    return not (b == a + 1 and count == 1 and pieces[a].end == pieces[b].start)
+
+
 def _no_self_crossings(pieces) -> bool:
-    boxes = [bounding_box(p) for p in pieces]
-    order = sorted(range(len(pieces)), key=lambda i: boxes[i][0])
-    for oi, i in enumerate(order):
-        xmax = boxes[i][2]
-        for j in order[oi + 1 :]:
-            if boxes[j][0] > xmax:
-                break
-            if boxes[i][1] > boxes[j][3] or boxes[j][1] > boxes[i][3]:
-                continue
-            a, b = (i, j) if i < j else (j, i)
-            count, overlap = piece_intersections(pieces[a], pieces[b])
-            if overlap:
+    """Is every contact of two pieces the joint of consecutive pieces?
+
+    A Shamos-Hoey sweep over x-monotone parts narrows the pairs that
+    ``_clash`` decides.  Events are the part ends in (x, y) order, which
+    shears the sweep so that a vertical runs from its lower end to its
+    upper end.  ``active`` holds the parts that cross the sweep, bottom
+    to top.  At each event every pair among the parts through the
+    point and the parts that start there is tested, the ending parts
+    make way for the starting ones, and each pair that becomes
+    adjacent is tested.  The first contact that is not a joint is thus
+    tested no later than the sweep reaches it, before the order could
+    go wrong.
+    """
+    parts = _parts(pieces)
+    starting = {}
+    points = set()
+    for part in parts:
+        starting.setdefault(part[0], []).append(part)
+        points.add(part[0])
+        points.add(part[1])
+    active = []
+    for p in sorted(points):
+        x, y = p
+        lo, hi = 0, len(active)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _side(active[mid], x, y) > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        top = lo
+        while top < len(active) and _side(active[top], x, y) == 0:
+            top += 1
+        new = starting.get(p, [])
+        near = active[lo:top] + new
+        for a, b in itertools.combinations(near, 2):
+            if _clash(pieces, a[2], b[2]):
                 return False
-            if count == 0:
-                continue
-            if b == a + 1 and count == 1 and pieces[a].end == pieces[b].start:
-                continue  # only the shared joint
+        # past these tests every part through p ends or starts there
+        new = [part for part in new if part[1] != p]
+        if len(new) > 1:
+            new.sort(key=_LEAVING_ORDER)
+        active[lo:top] = new
+        above = lo + len(new)
+        if 0 < lo < len(active) and _clash(pieces, active[lo - 1][2], active[lo][2]):
+            return False
+        if new and above < len(active) and _clash(pieces, active[above - 1][2], active[above][2]):
             return False
     return True
 
@@ -317,6 +441,12 @@ def verify_taffy(diagram: TaffyDiagram) -> TaffyReport:
     factor 2 puts the gap lines, halfway between neighbouring pegs, on
     the integer grid too.  From there every decision is a sign test on
     Python ints.
+
+    The strand is embedded if no piece comes within the peg radius of
+    a peg and two pieces touch only at the one joint of consecutive
+    pieces.  The second half is a plane sweep (see the module
+    docstring): O(n log n) sign tests narrow the pairs, and each
+    candidate pair is still decided whole by ``piece_intersections``.
     """
     pegs, rho, pieces = _on_grid(diagram)
     gl = (pegs[0][0] + pegs[1][0]) // 2

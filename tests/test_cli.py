@@ -160,6 +160,14 @@ def test_maxlayers_closed_form_is_capped(length):
     assert result == (1, "", "pullcalc: the closed form is capped at 20000 turns\n")
 
 
+@pytest.mark.parametrize("value", ["1/10000", "R^100000"])
+def test_render_taffy_is_capped(value):
+    start = time.perf_counter()
+    result = run_inproc(["render-taffy", value])
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", "pullcalc: taffy diagrams are capped at 10000 layers\n")
+
+
 def test_maxlayers_answers_at_the_cap():
     result = run_inproc(["maxlayers", "20000"])
     assert result.exit_code == 0
