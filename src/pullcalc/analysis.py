@@ -15,7 +15,7 @@ from typing import List, NamedTuple, Optional, Sequence
 from pullcalc import kernel, treewalk, words
 from pullcalc.rationals import ExtRational, apply_turn_rule
 from pullcalc.treewalk import LayerCounts
-from pullcalc.words import TurnWord
+from pullcalc.words import Word
 
 DEPTH_CAP = 25
 BRUTE_FORCE_CAP = 16
@@ -43,11 +43,11 @@ def fibonacci(n: int) -> int:
     return a
 
 
-def alternating_word(n: int) -> TurnWord:
+def alternating_word(n: int) -> Word:
     """R L R L ..., n turns long."""
     if n < 0:
         raise ValueError("word length must be non-negative")
-    return tuple(k & 1 for k in range(n))
+    return Word(k & 1 for k in range(n))
 
 
 def alternating_layers(n: int) -> LayerCounts:
@@ -116,7 +116,7 @@ def max_total_layers(n: int, mode: str = "closed-form"):
         a, b = kernel.fold_turns(word)
         if a + b > best:
             best, witness = a + b, word
-    return best, witness
+    return best, Word(witness)
 
 
 def effectiveness_report(word: Sequence[int]) -> List[EffectivenessRow]:

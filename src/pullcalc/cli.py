@@ -84,10 +84,9 @@ def _cmd_eval(args):
             "canonical": str(treewalk.canonicalize_arith(word)),
         }
     if args.trace:
+        trace = treewalk.number_trace(word)
         steps = ("start",) + tuple(words.format_word((t,)) for t in word)
-        return "\n".join(
-            "%-5s %s" % pair for pair in zip(steps, treewalk.number_trace(word))
-        )
+        return "\n".join("%-5s %s" % pair for pair in zip(steps, trace))
     return treewalk.taffy_number(word)
 
 

@@ -10,6 +10,7 @@ the same number the turn fold produces.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 from .. import words
@@ -19,6 +20,7 @@ from .taffy import STROKE_WIDTH, _fmt
 
 TWIST_CODES = {"V": 0, "H": 1}
 TWIST_LETTERS = ("V", "H")
+TANGLE_CAP = 10000  # most twists build_tangle will draw
 
 
 def parse_tangle(text: str):
@@ -32,7 +34,7 @@ def format_tangle(word, style: str = "plain") -> str:
 
 def tangle_number(twists) -> ExtRational:
     """The fraction of the tangle, via its continued fraction."""
-    return cf_eval(word_to_cf(tuple(twists)))
+    return cf_eval(word_to_cf(twists))
 
 
 class Crossing(NamedTuple):
@@ -80,7 +82,13 @@ class TangleDiagram(_TangleDiagram):
 
 
 def build_tangle(twists) -> TangleDiagram:
-    return TangleDiagram(tuple(twists))
+    """The diagram of a twist word.  Its SVG grows by one tile per
+    twist, so a word of more than TANGLE_CAP twists is refused having
+    read no more than one twist past the cap."""
+    twists = tuple(islice(twists, TANGLE_CAP + 1))
+    if len(twists) > TANGLE_CAP:
+        raise ValueError("tangle diagrams are capped at %d twists" % TANGLE_CAP)
+    return TangleDiagram(twists)
 
 
 # --- rendering ----------------------------------------------------------------

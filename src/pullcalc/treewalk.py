@@ -14,7 +14,9 @@ from typing import List, NamedTuple, Sequence
 
 from pullcalc import kernel, words
 from pullcalc.rationals import ExtRational, cf_expand
-from pullcalc.words import L, L_INV, R, R_INV, TurnWord
+from pullcalc.words import L, L_INV, R, R_INV, Word
+
+TRACE_CAP = 2**16  # longest word number_trace will walk turn by turn
 
 
 class LayerCounts(NamedTuple):
@@ -33,18 +35,19 @@ class CanonicalClass(NamedTuple):
     ``initial`` is the empty word (0/1) and ``infinity`` is R L^-1
     (1/0).  ``forward`` words use only R and L and start with R;
     ``reverse`` words are their turn-by-turn inverses and start with
-    R^-1.
+    R^-1.  The word is a ``Word``, so ``str`` formats its blocks as they
+    are.
     """
 
     tag: str
-    word: TurnWord
+    word: Word
 
     def __str__(self) -> str:
         return words.format_word(self.word, "runs")
 
 
-INITIAL = CanonicalClass("initial", ())
-INFINITY = CanonicalClass("infinity", (R, L_INV))
+INITIAL = CanonicalClass("initial", Word())
+INFINITY = CanonicalClass("infinity", Word((R, L_INV)))
 
 
 def taffy_number(word: Sequence[int]) -> ExtRational:
@@ -53,7 +56,13 @@ def taffy_number(word: Sequence[int]) -> ExtRational:
 
 
 def number_trace(word: Sequence[int]) -> List[ExtRational]:
-    """Every intermediate fraction, seed first, one entry per turn."""
+    """Every intermediate fraction, seed first, one entry per turn.
+
+    The output grows with every turn, so a word of more than TRACE_CAP
+    turns is refused before any work.
+    """
+    if len(word) > TRACE_CAP:
+        raise ValueError("traces are capped at %d turns" % TRACE_CAP)
     a, b = 0, 1
     trace = [ExtRational._coprime(a, b)]
     for t in word:
@@ -118,7 +127,7 @@ def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     if sum(coeffs) > words.MAX_TURNS:
         raise ValueError("canonical word longer than %d turns" % words.MAX_TURNS)
     if mode == "slow":
-        word = tuple(reversed([turn for _, _, turn in _subtractive_walk(a, b)]))
+        word = Word(reversed([turn for _, _, turn in _subtractive_walk(a, b)]))
         if q.num < 0:
             word = words.negate_runs(word)
     elif mode == "fast":
@@ -137,9 +146,10 @@ def canonicalize_arith(word: Sequence[int]) -> CanonicalClass:
     return canonical_word(taffy_number(word))
 
 
-# The rewrite pass keeps its class as a state [tag, body, mask]: the
-# class word is the leading turn (R forward, R^-1 reverse) followed by
-# body[i] ^ mask.  The two special tags ignore body and mask.
+# The rewrite pass keeps its class as a state [tag, codes, counts, mask]:
+# the class word is the leading turn (R forward, R^-1 reverse) followed
+# by the blocks (codes[i] ^ mask, counts[i]), merged as in a Word.  The
+# two special tags ignore the blocks and the mask.
 
 _ROTATED = {"initial": "infinity", "infinity": "initial", "forward": "reverse", "reverse": "forward"}
 
@@ -151,64 +161,111 @@ _FROM_SPECIAL = {
 
 
 def _state(c: CanonicalClass) -> list:
-    return [c.tag, list(c.word[1:]), 0]
+    word = words.as_word(c.word)
+    codes, counts = list(word.codes), list(word.counts)
+    if codes:  # drop the leading turn
+        counts[0] -= 1
+        if not counts[0]:
+            del codes[0], counts[0]
+    return [c.tag, codes, counts, 0]
 
 
 def _class(state: list) -> CanonicalClass:
-    tag, body, mask = state
+    tag, codes, counts, mask = state
     if tag == "initial":
         return INITIAL
     if tag == "infinity":
         return INFINITY
     lead = R if tag == "forward" else R_INV
-    return CanonicalClass(tag, (lead,) + tuple(t ^ mask for t in body))
+    codes = [t ^ mask for t in codes]
+    counts = list(counts)
+    if codes and codes[0] == lead:
+        counts[0] += 1
+    else:
+        codes.insert(0, lead)
+        counts.insert(0, 1)
+    return CanonicalClass(tag, Word._of(tuple(codes), tuple(counts), sum(counts)))
 
 
-def _rotate(state: list) -> None:
-    """Turn the class of Q into that of -1/Q, in place and in O(1).
+def _rotated(tag: str, mask: int):
+    """The tag and mask of the class of -1/Q, in O(1).
 
     The special classes swap.  Otherwise the leading turn flips
     between R and R^-1 and every later turn is mirrored and inverted,
     which is ``t ^ 3`` on its code.
     """
-    state[0] = _ROTATED[state[0]]
-    state[2] ^= 3
+    return _ROTATED[tag], mask ^ 3
 
 
-def _rewrite_step(state: list, turn: int) -> None:
-    """Append one turn to a rewrite state, in place.
+def _rewrite(state: list, blocks) -> None:
+    """Append ``(turn, count)`` blocks to a rewrite state, in place.
 
-    From the two special classes the new class is a table lookup.
-    Otherwise the turn cancels the word's last turn, extends the word,
-    or, when it runs against the word's direction without cancelling,
-    gives the rotation of the class obtained by appending the opposite
-    turn to the shortened word.  That shortened class is the word with
-    its last turn swapped for the other letter (or, for the lone leading
-    turn, the initial class, whose rotation is infinity).  That last
-    identity is what keeps the whole pass arithmetic-free.
+    Turn by turn: from the two special classes the new class is a table
+    lookup.  Otherwise the turn cancels the word's last turn, extends
+    the word, or, when it runs against the word's direction without
+    cancelling, gives the rotation of the class obtained by appending
+    the opposite turn to the shortened word.  That shortened class is
+    the word with its last turn swapped for the other letter (or, for
+    the lone leading turn, the initial class, whose rotation is
+    infinity).  That last identity is what keeps the whole pass
+    arithmetic-free.
+
+    A block takes O(1) steps plus one per block it cancels: the turns
+    that cancel go a block at a time, and after a swap or a special
+    class the rest of the block extends the word or changes nothing.
     """
-    if turn not in (R, L, R_INV, L_INV):
-        raise ValueError("bad turn code %r" % (turn,))
-    tag, body, mask = state
-    if tag in _FROM_SPECIAL:
-        state[0] = _FROM_SPECIAL[tag][turn]
-        body.clear()
-        state[2] = 0
-        return
-    forward = tag == "forward"
-    last = body[-1] ^ mask if body else (R if forward else R_INV)
-    if turn == last ^ 2:
-        if body:
-            body.pop()
-        else:
-            state[0] = "initial"
-    elif (turn < 2) == forward:
-        body.append(turn ^ mask)
-    elif body:
-        body[-1] ^= 1
-        _rotate(state)
-    else:
-        state[0] = "infinity"
+    tag, codes, counts, mask = state
+    for turn, k in blocks:
+        if turn not in (R, L, R_INV, L_INV):
+            raise ValueError("bad turn code %r" % (turn,))
+        while k:
+            if tag in _FROM_SPECIAL:
+                if _FROM_SPECIAL[tag][turn] == tag:
+                    break  # a fixed point: the rest of the block changes nothing
+                tag = _FROM_SPECIAL[tag][turn]
+                codes.clear()
+                counts.clear()
+                mask = 0
+                k -= 1
+                continue
+            forward = tag == "forward"
+            last = codes[-1] ^ mask if codes else (R if forward else R_INV)
+            if turn == last ^ 2:
+                if not codes:
+                    tag = "initial"
+                    k -= 1
+                elif k < counts[-1]:
+                    counts[-1] -= k
+                    break
+                else:
+                    k -= counts.pop()
+                    codes.pop()
+            elif (turn < 2) == forward:
+                if codes and codes[-1] == turn ^ mask:
+                    counts[-1] += k
+                else:
+                    codes.append(turn ^ mask)
+                    counts.append(k)
+                break
+            elif codes:
+                swapped = codes[-1] ^ 1
+                if counts[-1] == 1:
+                    codes.pop()
+                    counts.pop()
+                else:
+                    counts[-1] -= 1
+                if codes and codes[-1] == swapped:
+                    counts[-1] += 1
+                else:
+                    codes.append(swapped)
+                    counts.append(1)
+                tag, mask = _rotated(tag, mask)
+                k -= 1
+            else:
+                tag = "infinity"
+                k -= 1
+    state[0] = tag
+    state[3] = mask
 
 
 def rotate_canonical(c: CanonicalClass) -> CanonicalClass:
@@ -219,25 +276,25 @@ def rotate_canonical(c: CanonicalClass) -> CanonicalClass:
     negates every run.  An involution, and free of any arithmetic.
     """
     state = _state(c)
-    _rotate(state)
+    state[0], state[3] = _rotated(state[0], state[3])
     return _class(state)
 
 
 def append_turn(c: CanonicalClass, turn: int) -> CanonicalClass:
     """Canonical class of c's word followed by one more turn."""
     state = _state(c)
-    _rewrite_step(state, turn)
+    _rewrite(state, ((turn, 1),))
     return _class(state)
 
 
 def canonicalize_rewrite(word: Sequence[int]) -> CanonicalClass:
     """Canonical class of a word without ever computing a fraction.
 
-    One rewrite step per turn, each O(1), so the pass is linear.
+    One rewrite pass over the word's blocks, each O(1) amortized, so
+    the pass is linear in the number of blocks.
     """
     state = _state(INITIAL)
-    for t in word:
-        _rewrite_step(state, t)
+    _rewrite(state, kernel._blocks(word))
     return _class(state)
 
 

@@ -1,8 +1,11 @@
-"""Words over the four machine turns, as tuples of small integer codes.
+"""Words over the four machine turns, as runs of small integer codes.
 
 A pull is a finite sequence of quarter-turns of the three-peg frame: a
-right turn, a left turn, or the reverse of either.  Words are plain
-tuples of the small integer codes below.
+right turn, a left turn, or the reverse of either.  A word is a
+``kernel.Word`` of the small integer codes below: it is stored as runs,
+so ``R^k`` is parsed, reduced and rebuilt as one block and never spelled
+out turn by turn, and it compares, hashes and prints as the tuple of
+its turns.  Every function here also accepts a plain tuple of codes.
 
 The code arithmetic is load-bearing: ``t ^ 2`` is the inverse turn and
 ``t & 1`` is the letter (0 for the R family, 1 for the L family).
@@ -13,15 +16,14 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from pullcalc import kernel
+from pullcalc.kernel import Word
 
 R = 0
 L = 1
 R_INV = 2
 L_INV = 3
 
-TurnWord = tuple  # tuple[int, ...]
-
-MAX_TURNS = 2**24  # longest word tokenize will spell out
+MAX_TURNS = 2**24  # longest word tokenize will accept
 
 
 class WordSyntaxError(ValueError):
@@ -37,18 +39,20 @@ def inverse_turn(turn: int) -> int:
     return turn ^ 2
 
 
-def tokenize(text: str, letter_codes: dict) -> TurnWord:
-    """Scan ``text`` into turn codes using the given uppercase alphabet.
+def tokenize(text: str, letter_codes: dict) -> Word:
+    """Scan ``text`` into a word using the given uppercase alphabet.
 
     ``letter_codes`` maps each forward letter to its code; the lowercase
     form of a letter spells its inverse, and ``X^k`` repeats (a negative
     k applying the inverse |k| times).  ``e`` is the empty word and may
     appear anywhere.  Whitespace separates nothing in particular.  A
-    word of more than MAX_TURNS turns is refused before it is built,
-    and an exponent with more digits than MAX_TURNS (leading zeros
-    aside) before it is converted.
+    word of more than MAX_TURNS turns is refused, and an exponent with
+    more digits than MAX_TURNS (leading zeros aside) before it is
+    converted.  Each token adds one block, merged into the last one when
+    the codes agree, so ``X^k`` costs the same for every k.
     """
-    turns = []
+    codes, counts = [], []
+    last = total = 0
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -84,13 +88,21 @@ def tokenize(text: str, letter_codes: dict) -> TurnWord:
                 raise WordSyntaxError("word longer than %d turns" % MAX_TURNS, offset=at)
             count = int(digits or "0")
             i = j
-        if len(turns) + count > MAX_TURNS:
+        if total + count > MAX_TURNS:
             raise WordSyntaxError("word longer than %d turns" % MAX_TURNS, offset=at)
-        turns.extend([base] * count)
-    return tuple(turns)
+        if not count:
+            continue
+        if codes and base == last:
+            counts[-1] += count
+        else:
+            codes.append(base)
+            counts.append(count)
+            last = base
+        total += count
+    return Word._of(tuple(codes), tuple(counts), total)
 
 
-def parse_word(text: str) -> TurnWord:
+def parse_word(text: str) -> Word:
     """Parse R/L notation ("R^2 L R^-1", "r l", "e") into a word."""
     return tokenize(text, {"R": R, "L": L})
 
@@ -166,12 +178,10 @@ def _reduced_blocks(word: Iterable[int]) -> tuple:
     return codes, counts
 
 
-def reduce(word: Iterable[int]) -> TurnWord:
+def reduce(word: Iterable[int]) -> Word:
     """Freely reduce: cancel every adjacent turn/inverse pair."""
-    out = []
-    for t, k in zip(*_reduced_blocks(word)):
-        out += [t] * k
-    return tuple(out)
+    codes, counts = _reduced_blocks(word)
+    return Word._of(tuple(codes), tuple(counts), sum(counts))
 
 
 def to_run_form(word: Iterable[int]) -> tuple:
@@ -186,7 +196,7 @@ def to_run_form(word: Iterable[int]) -> tuple:
     return tuple(runs)
 
 
-def from_run_form(runs: Sequence[int]) -> TurnWord:
+def from_run_form(runs: Sequence[int]) -> Word:
     """Rebuild the word for a run tuple.
 
     Zero runs are tolerated at either end (continued-fraction bridges
@@ -197,19 +207,26 @@ def from_run_form(runs: Sequence[int]) -> TurnWord:
     for pos in range(1, len(runs) - 1):
         if runs[pos] == 0:
             raise ValueError("zero run in the interior at position %d" % pos)
-    word = []
+    codes, counts = [], []
     for pos, n in enumerate(runs):
-        letter = pos & 1
-        turn = letter if n > 0 else letter | 2
-        word.extend([turn] * abs(n))
-    return tuple(word)
+        if n:
+            codes.append(pos & 1 if n > 0 else pos & 1 | 2)
+            counts.append(abs(n))
+    return Word._of(tuple(codes), tuple(counts), sum(counts))
 
 
-def invert_word(word: Sequence[int]) -> TurnWord:
+def as_word(word: Iterable[int]) -> Word:
+    """``word`` itself if it is a Word, else its turns grouped into one."""
+    return word if isinstance(word, Word) else Word(word)
+
+
+def invert_word(word: Sequence[int]) -> Word:
     """The word that undoes ``word``: reversed, each turn inverted."""
-    return tuple(t ^ 2 for t in reversed(word))
+    w = as_word(word)
+    return Word._of(tuple(t ^ 2 for t in reversed(w.codes)), w.counts[::-1], len(w))
 
 
-def negate_runs(word: Sequence[int]) -> TurnWord:
+def negate_runs(word: Sequence[int]) -> Word:
     """Invert every turn in place (run lengths flip sign, order stays)."""
-    return tuple(t ^ 2 for t in word)
+    w = as_word(word)
+    return Word._of(tuple(t ^ 2 for t in w.codes), w.counts, len(w))

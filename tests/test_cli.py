@@ -168,6 +168,39 @@ def test_render_taffy_is_capped(value):
     assert result == (1, "", "pullcalc: taffy diagrams are capped at 10000 layers\n")
 
 
+@pytest.mark.parametrize("argv", [["eval", "R^65537", "--trace"], ["report", "R^200000"], ["report", "R^16777216"]])
+def test_per_turn_output_is_capped(argv):
+    start = time.perf_counter()
+    result = run_inproc(argv)
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", "pullcalc: traces are capped at 65536 turns\n")
+
+
+@pytest.mark.parametrize("word", ["V^10001", "V^20000", "V^16777216"])
+def test_render_tangle_is_capped(word):
+    start = time.perf_counter()
+    result = run_inproc(["render-tangle", word])
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", "pullcalc: tangle diagrams are capped at 10000 twists\n")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["tangle-eval", "V^16777216"], "16777216/1\n"),
+        (["eval", "R^16777216"], "16777216/1\n"),
+        (["canon", "R^8388608 L^-3 R^8388605"], "R^8388607 L R L R^8388604\n"),
+        (["layers", "L^16777216"], "left 1, right 0\n"),
+        (["cf", "R^16777216"], "[16777216]\n"),
+    ],
+)
+def test_a_word_of_the_whole_budget_answers_at_once(argv, out):
+    start = time.perf_counter()
+    result = run_inproc(argv)
+    assert time.perf_counter() - start < 1.0
+    assert result == (0, out, "")
+
+
 def test_maxlayers_answers_at_the_cap():
     result = run_inproc(["maxlayers", "20000"])
     assert result.exit_code == 0

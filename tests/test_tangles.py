@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pullcalc.diagrams.tangles import (
+    TANGLE_CAP,
     Crossing,
     TangleDiagram,
     build_tangle,
@@ -85,6 +86,19 @@ def test_a_tangle_diagram_refuses_a_bad_twist_code(twists):
         TangleDiagram(twists)
     with pytest.raises(ValueError, match="bad twist code"):
         build_tangle(twists)
+
+
+def test_build_tangle_is_capped():
+    assert len(build_tangle(parse_tangle("V^%d" % TANGLE_CAP)).crossings) == TANGLE_CAP
+    for twists in (parse_tangle("V^%d" % (TANGLE_CAP + 1)), itertools.repeat(0, 10**12)):
+        with pytest.raises(ValueError, match="tangle diagrams are capped at 10000 twists"):
+            build_tangle(twists)
+
+
+def test_tangle_number_of_a_long_run():
+    assert tangle_number(parse_tangle("V^16777216")) == make(16777216, 1)
+    twists = parse_tangle("V^9 H^-1000000 V^3 H^77777")
+    assert tangle_number(twists) == taffy_number(twists)
 
 
 def test_build_tangle_empty():

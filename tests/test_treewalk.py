@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pullcalc import words
+from pullcalc import treewalk, words
 from pullcalc.rationals import make, neg_recip
 from pullcalc.treewalk import (
     INFINITY,
@@ -52,6 +52,16 @@ def test_taffy_number_is_invariant_under_free_reduction():
 def test_number_trace_walks_through_every_prefix():
     trace = number_trace(parse_word("R L R"))
     assert trace == [make(0, 1), make(1, 1), make(1, 2), make(3, 2)]
+
+
+def test_number_trace_is_capped_before_any_work(monkeypatch):
+    monkeypatch.setattr(treewalk, "TRACE_CAP", 10)
+    assert number_trace(parse_word("R^10"))[-1] == make(10, 1)
+    with pytest.raises(ValueError, match="traces are capped at 10 turns"):
+        number_trace(parse_word("R^11"))
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="traces are capped at 65536 turns"):
+        number_trace(parse_word("R^%d" % words.MAX_TURNS))
 
 
 def test_layer_counts_orders_right_then_left():
