@@ -153,6 +153,8 @@ def canonicalize_arith(word: Sequence[int]) -> CanonicalClass:
 
 _ROTATED = {"initial": "infinity", "infinity": "initial", "forward": "reverse", "reverse": "forward"}
 
+_TURN_CODES = (R, L, R_INV, L_INV)
+
 # The tag reached from a special class by R, L, R^-1 and L^-1.
 _FROM_SPECIAL = {
     "initial": ("forward", "initial", "reverse", "initial"),
@@ -177,14 +179,13 @@ def _class(state: list) -> CanonicalClass:
     if tag == "infinity":
         return INFINITY
     lead = R if tag == "forward" else R_INV
-    codes = [t ^ mask for t in codes]
-    counts = list(counts)
+    if mask:
+        codes = [t ^ mask for t in codes]
     if codes and codes[0] == lead:
-        counts[0] += 1
+        codes, counts = tuple(codes), (counts[0] + 1, *counts[1:])
     else:
-        codes.insert(0, lead)
-        counts.insert(0, 1)
-    return CanonicalClass(tag, Word._of(tuple(codes), tuple(counts), sum(counts)))
+        codes, counts = (lead, *codes), (1, *counts)
+    return CanonicalClass(tag, Word._of(codes, counts, sum(counts)))
 
 
 def _rotated(tag: str, mask: int):
@@ -216,7 +217,7 @@ def _rewrite(state: list, blocks) -> None:
     """
     tag, codes, counts, mask = state
     for turn, k in blocks:
-        if turn not in (R, L, R_INV, L_INV):
+        if turn not in _TURN_CODES:
             raise ValueError("bad turn code %r" % (turn,))
         while k:
             if tag in _FROM_SPECIAL:
