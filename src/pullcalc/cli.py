@@ -6,7 +6,8 @@ JSON-encoding it under ``--json``, and prints it or writes it to ``-o``.
 Stdout and ``-o`` get the same bytes, ending in exactly one newline.
 The SVG subcommands take ``-o`` (default stdout) and never ``--json``.
 Usage errors exit 2, domain errors (bad fraction, unparsable word,
-depth cap, unwritable ``-o``) exit 1, success exits 0.
+depth cap, an answer too long to write, unwritable ``-o``) exit 1,
+success exits 0.
 """
 
 import argparse
@@ -73,10 +74,14 @@ def _accept_negative_fractions(parser: argparse.ArgumentParser) -> None:
 def _cmd_eval(args):
     word = words.parse_word(args.word)
     if args.json:
+        # "reduced" is written one token per turn, so it is capped like a trace.
+        reduced = words.reduce(word)
+        if len(reduced) > treewalk.TRACE_CAP:
+            raise ValueError("reduced words are capped at %d turns" % treewalk.TRACE_CAP)
         counts = treewalk.layer_counts(word)
         return {
             "word": args.word,
-            "reduced": words.format_word(words.reduce(word)),
+            "reduced": words.format_word(reduced),
             "runs": list(words.to_run_form(word)),
             "taffy_number": _frac(treewalk.taffy_number(word)),
             "layers": {"left": counts.left, "right": counts.right},
@@ -277,6 +282,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(exc: Exception) -> str:
+    """The one line that reports a refused command.
+
+    Python writes no int of more than ``sys.get_int_max_str_digits()``
+    digits (from 3.10.7) and its refusal gives advice meant for the
+    programmer, so an answer too long to write is named as such.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        str(10**limit)
+    except ValueError as refusal:
+        if exc.args == refusal.args:
+            return "answer longer than %d digits" % limit
+    return str(exc)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -288,7 +309,7 @@ def main(argv=None) -> int:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
     except (ValueError, RuntimeError, OSError) as exc:
-        print("pullcalc: %s" % exc, file=sys.stderr)
+        print("pullcalc: %s" % _message(exc), file=sys.stderr)
         return 1
     return 0
 

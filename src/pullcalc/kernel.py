@@ -1,10 +1,10 @@
 """The word type and the four turn rules folded over it.
 
 A word is stored as runs: ``Word`` keeps merged ``(code, count)``
-blocks, so ``R^k`` costs one block however large k is, and still
-behaves as the tuple of its turns everywhere a tuple is compared,
-hashed or printed.  It lives here, beside the fold, because the fold is
-what reads its blocks.
+blocks, so ``R^k`` costs one block however large k is.  It iterates,
+compares, hashes and prints as the tuple of its turns, but it is not a
+full sequence: it has no indexing, slicing or ``+``.  It lives here,
+beside the fold, because the fold is what reads its blocks.
 
 R sends a/b to (a+b)/b, L sends it to a/(a+b), and the reverse turns
 subtract instead.  This module is the only place those rules are
@@ -13,20 +13,15 @@ written out; every other fold in the package goes through
 
 The rules are applied per block of equal turns: ``R^k`` sends a/b to
 (a+k*b)/b and ``L^k`` sends it to a/(k*a+b), and each block is one
-unimodular step.  Seeds are assumed to be in lowest terms; a unimodular
-step preserves the gcd, so the results are in lowest terms too, with
-no gcd taken anywhere.
+unimodular step.  A ``Word`` gives one block per run and any other
+sequence one block per turn.  Seeds are assumed to be in lowest terms;
+a unimodular step preserves the gcd, so the results are in lowest
+terms too, with no gcd taken anywhere.
 """
 
 from __future__ import annotations
 
-from itertools import chain, groupby, repeat
-
-# Plain tuples shorter than this fold turn by turn: on short words
-# grouping costs two to three times the per-turn loop, and there is no
-# long run for it to save.  A Word's blocks are used as they are.
-BLOCK_CUTOFF = 48
-_ONES = (1,) * BLOCK_CUTOFF  # the counts of a short word's blocks
+from itertools import chain, repeat
 
 
 class Word:
@@ -34,10 +29,11 @@ class Word:
 
     ``codes`` and ``counts`` are tuples of the same length: neighbouring
     codes differ and every count is positive, so each word has exactly
-    one block form.  A Word equals, hashes and prints like the tuple of
-    its turns, and ``len`` is O(1).  ``Word(turns)`` groups any iterable
-    of codes; the word passes build blocks directly.  Nothing assigns
-    to a Word once it is built (there is no ``__setattr__`` guard, which
+    one block form.  A Word iterates, equals, hashes and prints like the
+    tuple of its turns, and ``len`` is O(1); it does not support
+    indexing, slicing or ``+``.  ``Word(turns)`` groups any iterable of
+    codes; the word passes build blocks directly.  Nothing assigns to a
+    Word once it is built (there is no ``__setattr__`` guard, which
     would triple the cost of building one).
     """
 
@@ -66,55 +62,11 @@ class Word:
         self._len = length
         return self
 
-    @classmethod
-    def from_blocks(cls, blocks) -> "Word":
-        """The word of ``(code, count)`` pairs: equal neighbours merge
-        and zero counts drop out."""
-        codes, counts = [], []
-        for t, k in blocks:
-            if not k:
-                continue
-            if codes and codes[-1] == t:
-                counts[-1] += k
-            else:
-                codes.append(t)
-                counts.append(k)
-        return cls._of(tuple(codes), tuple(counts), sum(counts))
-
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self):
         return chain.from_iterable(map(repeat, self.codes, self.counts))
-
-    def __reversed__(self):
-        return chain.from_iterable(map(repeat, reversed(self.codes), reversed(self.counts)))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._len)
-            if step != 1:
-                return Word(tuple(self)[index])
-            return Word.from_blocks(self._window(start, stop))
-        if index < 0:
-            index += self._len
-        if 0 <= index < self._len:
-            for t, k in zip(self.codes, self.counts):
-                if index < k:
-                    return t
-                index -= k
-        raise IndexError("Word index out of range")
-
-    def _window(self, start: int, stop: int):
-        """The blocks of turns start to stop - 1, clipped to each block."""
-        at = 0
-        for t, k in zip(self.codes, self.counts):
-            lo, hi = max(start, at), min(stop, at + k)
-            if lo < hi:
-                yield t, hi - lo
-            at += k
-            if at >= stop:
-                return
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Word):
@@ -129,30 +81,13 @@ class Word:
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def __add__(self, other):
-        if not isinstance(other, (Word, tuple)):
-            return NotImplemented
-        return Word.from_blocks(chain(_blocks(self), _blocks(other)))
-
-    def __radd__(self, other):
-        if not isinstance(other, tuple):
-            return NotImplemented
-        return Word.from_blocks(chain(_blocks(other), _blocks(self)))
-
 
 def _blocks(word):
-    """The word as (code, count) pairs of equal adjacent turn codes.
-
-    A Word hands back its own blocks.  Any other sequence is grouped,
-    except that one shorter than BLOCK_CUTOFF comes back one turn per
-    block.
-    """
+    """The word as (code, count) pairs: a Word's own runs, or one pair
+    per turn for any other sequence."""
     if isinstance(word, Word):
         return zip(word.codes, word.counts)
-    word = tuple(word)
-    if len(word) < BLOCK_CUTOFF:
-        return zip(word, _ONES)
-    return [(t, len(list(run))) for t, run in groupby(word)]
+    return zip(word, repeat(1))
 
 
 def fold_turns(word, num=0, den=1):

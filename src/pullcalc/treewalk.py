@@ -35,8 +35,8 @@ class CanonicalClass(NamedTuple):
     ``initial`` is the empty word (0/1) and ``infinity`` is R L^-1
     (1/0).  ``forward`` words use only R and L and start with R;
     ``reverse`` words are their turn-by-turn inverses and start with
-    R^-1.  The word is a ``Word``, so ``str`` formats its blocks as they
-    are.
+    R^-1.  ``str`` writes the word in the runs style of
+    ``format_word``, which reduces it again on the way.
     """
 
     tag: str

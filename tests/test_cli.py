@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -174,6 +175,24 @@ def test_per_turn_output_is_capped(argv):
     result = run_inproc(argv)
     assert time.perf_counter() - start < 1.0
     assert result == (1, "", "pullcalc: traces are capped at 65536 turns\n")
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["eval", "--json"], ["layers"]])
+def test_an_answer_too_long_to_write_is_refused_in_one_line(argv):
+    # 21,000 alternating turns: a ratio of Fibonacci numbers of about 4,400 digits
+    result = run_inproc(argv[:1] + ["R L " * 10500] + argv[1:])
+    limit = sys.get_int_max_str_digits()
+    assert result == (1, "", "pullcalc: answer longer than %d digits\n" % limit)
+
+
+def test_the_reduced_word_under_json_is_capped():
+    start = time.perf_counter()
+    result = run_inproc(["eval", "R^65537", "--json"])
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", "pullcalc: reduced words are capped at 65536 turns\n")
+    result = run_inproc(["eval", "R^65536", "--json"])
+    assert result.exit_code == 0 and result.stderr == ""
+    assert json.loads(result.stdout)["reduced"] == " ".join(["R"] * 65536)
 
 
 @pytest.mark.parametrize("word", ["V^10001", "V^20000", "V^16777216"])

@@ -38,7 +38,8 @@ def test_module_uses_every_import(path):
 
 
 def dead_definitions(defining: dict, reading: list):
-    """Module-level functions, classes and assigned names that no source reads.
+    """Module-level functions, classes and assigned names, and the
+    methods of module-level classes, that no source reads.
 
     ``defining`` maps a label to the source whose top level is scanned;
     every source in ``defining`` and ``reading`` counts as a reader.  A
@@ -52,6 +53,12 @@ def dead_definitions(defining: dict, reading: list):
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((label, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (label, method.name)
+                    for method in node.body
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
@@ -78,11 +85,15 @@ def test_the_scan_sees_a_dead_definition():
     defining = {
         "a.py": "__all__ = ['kept']\nX = 1\n_Y = 2\ndef kept(): return _Y\nclass Gone: pass\n",
         "b.py": "from a import X\n",
+        "c.py": "class Held:\n    def used(self): pass\n    def _unused(self): pass\n    def __len__(self): return 0\n",
     }
-    assert dead_definitions(defining, ["import a\na.helper = a.kept()\n"]) == ["a.py: Gone"]
+    reader = "import a, c\na.helper = a.kept()\nc.Held().used()\n"
+    assert dead_definitions(defining, [reader]) == ["a.py: Gone", "c.py: _unused"]
     # exported and re-exported, but never called
     defining["pkg/__init__.py"] = "from .a import kept\n__all__ = ['kept']\n"
-    assert dead_definitions(defining, []) == ["a.py: Gone", "a.py: kept"]
+    assert dead_definitions(defining, ["import c\nc.Held().used()\n"]) == [
+        "a.py: Gone", "a.py: kept", "c.py: _unused"
+    ]
 
 
 def test_every_definition_is_read_or_exported():

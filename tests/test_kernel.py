@@ -38,8 +38,8 @@ def per_turn_fold(word, num=0, den=1):
     return a, b
 
 
-# Words as blocks of equal turns, 1 to 10**4 turns each, so most land
-# above BLOCK_CUTOFF and some below it.
+# Words as blocks of equal turns, 1 to 10**4 turns each, so that a
+# Word of them has long runs to fold a block at a time.
 block_words = st.lists(
     st.tuples(st.integers(0, 3), st.one_of(st.integers(1, 5), st.integers(1, 10**4))),
     max_size=8,
@@ -56,23 +56,26 @@ coprime_seeds = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(block_words, coprime_seeds)
 def test_block_fold_equals_the_per_turn_fold(word, seed):
-    assert kernel.fold_turns(word, *seed) == per_turn_fold(word, *seed)
+    expected = per_turn_fold(word, *seed)
+    assert kernel.fold_turns(word, *seed) == expected
+    assert kernel.fold_turns(kernel.Word(word), *seed) == expected
 
 
-@pytest.mark.parametrize("n", [kernel.BLOCK_CUTOFF - 1, kernel.BLOCK_CUTOFF, kernel.BLOCK_CUTOFF + 1])
-def test_block_fold_at_the_cutoff(n):
+@pytest.mark.parametrize("n", [1, 48, 300])
+def test_block_fold_at_fixed_lengths(n):
     rng = random.Random(n)
     for _ in range(300):
         word = tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n))
         seed = rng.choice([(0, 1), (1, 0), (-1, 0), (3, -7), (-5, 2)])
-        assert kernel.fold_turns(word, *seed) == per_turn_fold(word, *seed)
+        expected = per_turn_fold(word, *seed)
+        assert kernel.fold_turns(word, *seed) == expected
+        assert kernel.fold_turns(kernel.Word(word), *seed) == expected
 
 
-def test_blocks_group_only_long_words():
-    short = (0,) * (kernel.BLOCK_CUTOFF - 1)
-    assert list(kernel._blocks(short)) == [(0, 1)] * len(short)
-    long = (0,) * kernel.BLOCK_CUTOFF + (3, 3, 1)
-    assert list(kernel._blocks(long)) == [(0, kernel.BLOCK_CUTOFF), (3, 2), (1, 1)]
+def test_blocks_are_one_per_turn_or_a_words_runs():
+    word = (0,) * 50 + (3, 3, 1)
+    assert list(kernel._blocks(word)) == [(t, 1) for t in word]
+    assert list(kernel._blocks(kernel.Word(word))) == [(0, 50), (3, 2), (1, 1)]
 
 
 def test_a_bad_code_in_a_long_word_is_rejected():

@@ -294,7 +294,7 @@ def test_rewrite_agrees_with_arithmetic_on_long_mixed_words(n, rng):
 def test_rewrite_of_a_long_word_and_its_inverse_is_initial():
     rng = random.Random(5)
     word = tuple(rng.randrange(4) for _ in range(5000))
-    assert canonicalize_rewrite(word + words.invert_word(word)) == INITIAL
+    assert canonicalize_rewrite(word + tuple(words.invert_word(word))) == INITIAL
 
 
 @pytest.mark.parametrize("mode", ["fast", "slow"])

@@ -212,7 +212,7 @@ def test_reduce_is_idempotent(ws):
 @given(turn_lists)
 def test_word_times_inverse_reduces_to_identity(ws):
     word = tuple(ws)
-    assert reduce(word + invert_word(word)) == ()
+    assert reduce(word + tuple(invert_word(word))) == ()
 
 
 # --- run form --------------------------------------------------------------
