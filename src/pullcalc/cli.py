@@ -27,7 +27,7 @@ from .diagrams import (
     render_tangle_svg,
     tangle_number,
 )
-from .rationals import ExtRational, cf_expand, format_cf, parse_fraction
+from .rationals import ExtRational, cf_expand, digit_limit, format_cf, parse_fraction
 
 
 def _frac(q: ExtRational) -> dict:
@@ -55,6 +55,14 @@ def _value_of(text: str) -> ExtRational:
     if isinstance(value, ExtRational):
         return value
     return treewalk.taffy_number(value)
+
+
+def _refuse_unwritable(numbers) -> None:
+    """Refuse an answer holding a non-negative int too long to write,
+    before any of the answer is formatted."""
+    limit = digit_limit()
+    if limit and max(numbers, default=0) >= 10**limit:
+        raise ValueError("answer longer than %d digits" % limit)
 
 
 def _accept_negative_fractions(parser: argparse.ArgumentParser) -> None:
@@ -90,6 +98,7 @@ def _cmd_eval(args):
         }
     if args.trace:
         trace = treewalk.number_trace(word)
+        _refuse_unwritable(max(abs(q.num), q.den) for q in trace)
         steps = ("start",) + tuple(words.format_word((t,)) for t in word)
         return "\n".join("%-5s %s" % pair for pair in zip(steps, trace))
     return treewalk.taffy_number(word)
@@ -170,7 +179,10 @@ def _cmd_maxlayers(args):
 
 
 def _cmd_report(args):
-    rows = analysis.effectiveness_report(words.parse_word(args.word))
+    trace = treewalk.number_trace(words.parse_word(args.word))
+    # every ratio's terms are at most the totals
+    _refuse_unwritable(abs(q.num) + q.den for q in trace)
+    rows = analysis.trace_report(trace)
     if args.json:
         return [
             {
@@ -289,7 +301,7 @@ def _message(exc: Exception) -> str:
     digits (from 3.10.7) and its refusal gives advice meant for the
     programmer, so an answer too long to write is named as such.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = digit_limit()
     try:
         str(10**limit)
     except ValueError as refusal:

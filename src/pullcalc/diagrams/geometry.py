@@ -64,30 +64,16 @@ def reverse_piece(piece):
     return HalfCircle(piece.center, piece.radius, piece.side, not piece.start_at_top)
 
 
-def _map_piece(piece, f, flip, size=None):
-    """Apply the point map f to a piece.
-
-    flip swaps an arc's bulge; size, when given, maps its radius
-    (the isometries leave it alone).  An arc keeps starting where f
-    sends its start.
-    """
-    if isinstance(piece, Segment):
-        return Segment(f(piece.start), f(piece.end))
-    center = f(piece.center)
-    side = ("east" if piece.side == "west" else "west") if flip else piece.side
-    radius = size(piece.radius) if size else piece.radius
-    return HalfCircle(center, radius, side, f(piece.start)[1] > center[1])
-
-
-def reflect_piece_x(piece, axis: float):
-    """Mirror across the vertical line x = axis."""
-    return _map_piece(piece, lambda p: (2.0 * axis - p[0], p[1]), True)
-
-
 def rotate_piece_180(piece, center: Point):
-    """Rotate half a turn about a point."""
-    cx, cy = center
-    return _map_piece(piece, lambda p: (2.0 * cx - p[0], 2.0 * cy - p[1]), True)
+    """Rotate half a turn about a point; an arc's bulge and direction flip."""
+    tx, ty = 2.0 * center[0], 2.0 * center[1]  # p -> (tx, ty) - p
+    if isinstance(piece, Segment):
+        (x1, y1), (x2, y2) = piece
+        return Segment((tx - x1, ty - y1), (tx - x2, ty - y2))
+    (x, y), radius, side, start_at_top = piece
+    return HalfCircle(
+        (tx - x, ty - y), radius, "east" if side == "west" else "west", not start_at_top
+    )
 
 
 def bounding_box(piece):

@@ -23,17 +23,15 @@ import itertools
 import math
 from typing import NamedTuple
 
-from ..rationals import ExtRational, neg_recip
+from ..rationals import ExtRational
 from ..treewalk import LayerCounts
 from .geometry import (
     HalfCircle,
     Segment,
-    _map_piece,
     _sign,
     bounding_box,
     comes_within,
     piece_intersections,
-    reflect_piece_x,
     reverse_piece,
     rotate_piece_180,
 )
@@ -114,9 +112,10 @@ def _assemble(units):
     return tuple(path)
 
 
-def _build_core(l: int, r: int):
+def _build_core(l: int, r: int, mirror: bool, flip: bool):
     """Strand pieces for a count pair with l >= r, gcd 1, measured as
-    left = l crossings and right = r crossings.
+    left = l crossings and right = r crossings; mirror draws it across
+    the middle peg (swapping the two counts) and flip upside down.
 
     Left stub i sits at (gl, l+1-2i), right stub j at (gr, r+1-2j).
     The first r left stubs run straight through to the right stubs on
@@ -134,6 +133,13 @@ def _build_core(l: int, r: int):
     d = l - r
     w = d // 2
     arm = d % 2
+    x0, xs = (2 * big_d, -1) if mirror else (0, 1)  # x -> x0 + xs * x
+    ys = -1 if flip else 1  # y -> ys * y
+    west, east = ("east", "west") if mirror else ("west", "east")  # rainbow bulges
+    top = not flip  # rainbows start at their top pole
+
+    def seg(x1, y1, x2, y2):
+        return _seg(x0 + xs * x1, ys * y1, x0 + xs * x2, ys * y2)
 
     def s(i):  # left stub heights, top to bottom
         return l + 1 - 2 * i
@@ -150,26 +156,26 @@ def _build_core(l: int, r: int):
     for i in range(1, l // 2 + 1):
         h = s(i)
         pieces = [
-            _seg(gl, h, 0, h),
-            HalfCircle((0.0, 0.0), float(h), "west", start_at_top=True),
-            _seg(0, -h, gl, -h),
+            seg(gl, h, 0, h),
+            HalfCircle((float(x0), 0.0), float(h), west, top),
+            seg(0, -h, gl, -h),
         ]
         units.append((pieces, ("L", i), ("L", l + 1 - i)))
     if l % 2:
-        units.append(([_seg(gl, 0, PEG_RADIUS, 0)], ("L", (l + 1) // 2), ("P", 0)))
+        units.append(([seg(gl, 0, PEG_RADIUS, 0)], ("L", (l + 1) // 2), ("P", 0)))
 
     # east rainbows around the right peg
     for j in range(1, r // 2 + 1):
         h = re(j)
         pieces = [
-            _seg(gr, h, 2 * big_d, h),
-            HalfCircle((2.0 * big_d, 0.0), float(h), "east", start_at_top=True),
-            _seg(2 * big_d, -h, gr, -h),
+            seg(gr, h, 2 * big_d, h),
+            HalfCircle((float(2 * big_d - x0), 0.0), float(h), east, top),
+            seg(2 * big_d, -h, gr, -h),
         ]
         units.append((pieces, ("R", j), ("R", r + 1 - j)))
     if r % 2:
         units.append(
-            ([_seg(gr, 0, 2 * big_d - PEG_RADIUS, 0)], ("R", (r + 1) // 2), ("P", 2))
+            ([seg(gr, 0, 2 * big_d - PEG_RADIUS, 0)], ("R", (r + 1) // 2), ("P", 2))
         )
 
     # throughs: left stub i to right stub i over the top tracks
@@ -178,11 +184,11 @@ def _build_core(l: int, r: int):
         col, ecol = gl + i, gr - i
         track = p0 + (m - i) + 0.5
         pieces = [
-            _seg(gl, hw, col, hw),
-            _seg(col, hw, col, track),
-            _seg(col, track, ecol, track),
-            _seg(ecol, track, ecol, he),
-            _seg(ecol, he, gr, he),
+            seg(gl, hw, col, hw),
+            seg(col, hw, col, track),
+            seg(col, track, ecol, track),
+            seg(ecol, track, ecol, he),
+            seg(ecol, he, gr, he),
         ]
         units.append((pieces, ("L", i), ("R", i)))
 
@@ -195,13 +201,13 @@ def _build_core(l: int, r: int):
         bot_track = hw_ - 0.5
         ecol = big_d + arm + (w - j + 1)
         pieces = [
-            _seg(gl, hu, a, hu),
-            _seg(a, hu, a, track),
-            _seg(a, track, ecol, track),
-            _seg(ecol, track, ecol, bot_track),
-            _seg(ecol, bot_track, b, bot_track),
-            _seg(b, bot_track, b, hw_),
-            _seg(b, hw_, gl, hw_),
+            seg(gl, hu, a, hu),
+            seg(a, hu, a, track),
+            seg(a, track, ecol, track),
+            seg(ecol, track, ecol, bot_track),
+            seg(ecol, bot_track, b, bot_track),
+            seg(b, bot_track, b, hw_),
+            seg(b, hw_, gl, hw_),
         ]
         units.append((pieces, ("L", top_i), ("L", bot_i)))
 
@@ -209,13 +215,13 @@ def _build_core(l: int, r: int):
     if arm:
         i = m + w + 1
         if m == 0:
-            pieces = [_seg(gl, 0, big_d - PEG_RADIUS, 0)]
+            pieces = [seg(gl, 0, big_d - PEG_RADIUS, 0)]
         else:
             col = gl + i
             pieces = [
-                _seg(gl, -m, col, -m),
-                _seg(col, -m, col, 0),
-                _seg(col, 0, big_d - PEG_RADIUS, 0),
+                seg(gl, -m, col, -m),
+                seg(col, -m, col, 0),
+                seg(col, 0, big_d - PEG_RADIUS, 0),
             ]
         units.append((pieces, ("L", i), ("P", 1)))
 
@@ -225,26 +231,22 @@ def _build_core(l: int, r: int):
 def build_taffy(q: ExtRational) -> TaffyDiagram:
     """Reconstruct a taffy diagram whose measured value is q.
 
-    Negative values are the 180-degree rotation of their negated
-    reciprocal; a right-heavy pair is the mirror of the left-heavy
-    core.  Either way the verifier re-measures the counts from
-    scratch.  Values with |num| + den past TAFFY_CAP are refused
-    before any work.
+    One pass draws every orientation of the left-heavy core: mirrored
+    across the middle peg when the right count is the larger, upside
+    down for a negative value.  The picture of -1/q is the half-turn
+    ``rotate_taffy`` of the picture of q, so -1/1, the half-turn of 1/1,
+    mirrors as well.  The verifier re-measures the counts from scratch.
+    Values with |num| + den past TAFFY_CAP are refused before any work.
     """
     if abs(q.num) + q.den > TAFFY_CAP:
         raise ValueError("taffy diagrams are capped at %d layers" % TAFFY_CAP)
-    if q.num < 0:
-        return rotate_taffy(build_taffy(neg_recip(q)))
-    right, left = q.num, q.den
+    right, left = abs(q.num), q.den
+    flip = q.num < 0
+    mirror = right > left or (flip and right == left)
     big_d = 2 * (right + left) + 6
     pegs = ((0.0, 0.0), (float(big_d), 0.0), (2.0 * big_d, 0.0))
-    counts = LayerCounts(right=right, left=left)
-    if right > left:
-        core = _build_core(right, left)
-        strand = tuple(reflect_piece_x(p, float(big_d)) for p in core)
-    else:
-        strand = _build_core(left, right)
-    return TaffyDiagram(pegs, strand, counts)
+    strand = _build_core(max(right, left), min(right, left), mirror, flip)
+    return TaffyDiagram(pegs, strand, LayerCounts(right=right, left=left))
 
 
 def rotate_taffy(d: TaffyDiagram) -> TaffyDiagram:
@@ -428,7 +430,12 @@ def _on_grid(diagram: TaffyDiagram):
         return (n(p[0]), n(p[1]))
 
     pegs = sorted(f(peg) for peg in diagram.pegs)
-    pieces = [_map_piece(piece, f, False, n) for piece in diagram.strand]
+    pieces = [
+        Segment(f(piece.start), f(piece.end))
+        if isinstance(piece, Segment)
+        else HalfCircle(f(piece.center), n(piece.radius), piece.side, piece.start_at_top)
+        for piece in diagram.strand
+    ]
     return pegs, n(PEG_RADIUS), pieces
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from typing import Iterable, Sequence
 
 from pullcalc import kernel
 
 ContinuedFraction = tuple  # tuple[int, ...]
 
-_FRACTION_RE = re.compile(r"\s*(-?\d+)(?:/(\d+))?\s*\Z")
+_FRACTION_RE = re.compile(r"\s*(-?)(\d+)(?:/(\d+))?\s*\Z")
 
 
 class ExtRational:
@@ -82,13 +83,33 @@ def make(num: int, den: int = 1) -> ExtRational:
     return ExtRational(num, den)
 
 
+def digit_limit() -> int:
+    """The most digits Python converts an int to or from (0: no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _integer(digits: str, part: str) -> int:
+    """int() of a run of decimal digits.
+
+    Leading zeros aside, more digits than ``sys.get_int_max_str_digits()``
+    are refused before int() is asked, which would refuse them with
+    advice meant for the programmer.
+    """
+    digits = digits.lstrip("0")
+    limit = digit_limit()
+    if limit and len(digits) > limit:
+        raise ValueError("not a fraction: %s longer than %d digits" % (part, limit))
+    return int(digits or "0")
+
+
 def parse_fraction(text: str) -> ExtRational:
     """Parse "a/b", "-a/b" or a bare integer; "1/0" is accepted."""
     match = _FRACTION_RE.match(text)
     if not match:
         raise ValueError("not a fraction: %r" % text)
-    num = int(match.group(1))
-    den = 1 if match.group(2) is None else int(match.group(2))
+    sign, num, den = match.groups()
+    num = (-1 if sign else 1) * _integer(num, "numerator")
+    den = 1 if den is None else _integer(den, "denominator")
     if num == 0 and den == 0:
         raise ValueError("not a fraction: 0/0")
     return ExtRational(num, den)

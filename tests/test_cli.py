@@ -177,10 +177,14 @@ def test_per_turn_output_is_capped(argv):
     assert result == (1, "", "pullcalc: traces are capped at 65536 turns\n")
 
 
-@pytest.mark.parametrize("argv", [["eval"], ["eval", "--json"], ["layers"]])
+@pytest.mark.parametrize(
+    "argv", [["eval"], ["eval", "--json"], ["layers"], ["report"], ["eval", "--trace"]]
+)
 def test_an_answer_too_long_to_write_is_refused_in_one_line(argv):
     # 21,000 alternating turns: a ratio of Fibonacci numbers of about 4,400 digits
+    start = time.perf_counter()
     result = run_inproc(argv[:1] + ["R L " * 10500] + argv[1:])
+    assert time.perf_counter() - start < 1.0
     limit = sys.get_int_max_str_digits()
     assert result == (1, "", "pullcalc: answer longer than %d digits\n" % limit)
 
@@ -383,6 +387,17 @@ def test_a_bad_fraction_is_reported_as_a_fraction(command):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr == "pullcalc: not a fraction: 0/0\n"
+
+
+@pytest.mark.parametrize("command", ["invert", "cf", "children", "render-taffy"])
+def test_a_fraction_too_long_to_read_is_reported_as_a_fraction(command):
+    limit = sys.get_int_max_str_digits()
+    for text, part in (("1" * (limit + 1), "numerator"), ("-1/" + "7" * (limit + 1), "denominator")):
+        result = run_inproc([command, text])
+        message = "pullcalc: not a fraction: %s longer than %d digits\n" % (part, limit)
+        assert result == (1, "", message)
+    # leading zeros are not digits of the value
+    assert run_inproc([command, "0" * (limit + 1) + "1"]) == run_inproc([command, "1"])
 
 
 @pytest.mark.parametrize("extra", [[], ["--mode", "slow"]])

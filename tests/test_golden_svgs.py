@@ -26,6 +26,7 @@ TAFFY_CASES = [
     ("taffy_3_2.svg", make(3, 2)),
     ("taffy_8_13.svg", make(8, 13)),
     ("taffy_m1_3.svg", make(-1, 3)),
+    ("taffy_m3_2.svg", make(-3, 2)),  # negative and right-heavy
 ]
 
 TANGLE_CASES = [

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, and every
 name the package defines is read somewhere; exporting a name is not
-reading it.  Starting the CLI loads no ``dataclasses``."""
+reading it.  A public name that only tests read is on an allowlist
+with its reason.  Starting the CLI loads no ``dataclasses``."""
 
 import ast
 import pathlib
@@ -100,6 +101,31 @@ def test_every_definition_is_read_or_exported():
     defining = {p.relative_to(SRC).as_posix(): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     reading = [p.read_text() for p in sorted((ROOT / "tests").rglob("*.py"))]
     assert dead_definitions(defining, reading) == []
+
+
+# Public names that no module under src/, perfbench/ or tools/ reads,
+# each with the reason it stays.  A new name that only tests read fails.
+TEST_ONLY_NAMES = {
+    "analysis.py: alternating_layers": "acceptance lock: the Fibonacci extremes in closed form",
+    "diagrams/taffy.py: rotate_taffy": "test reference: the half-turn that build_taffy draws directly",
+    "diagrams/tangles.py: format_tangle": "library API: the printer paired with parse_tangle",
+    "rationals.py: make": "acceptance lock: builds every fraction the criteria check",
+    "rationals.py: neg_recip": "acceptance lock: the -1/q symmetry rotate_canonical must match",
+    "treewalk.py: append_turn": "test reference: one rewrite step, folded to match canonicalize_rewrite",
+    "treewalk.py: rotate_canonical": "acceptance lock: the structural half-turn of a canonical class",
+    "treewalk.py: slow_euclid_trace": "library API: the paper's subtractive walk, step by step",
+    "words.py: inverse_turn": "library API: the turn algebra's inverse, paired with invert_word",
+    "words.py: invert_word": "library API: the inverse of a word in the free group",
+}
+
+
+def test_every_name_only_tests_read_is_on_the_allowlist():
+    defining = {p.relative_to(SRC).as_posix(): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    reading = [p.read_text() for d in ("perfbench", "tools") for p in sorted((ROOT / d).rglob("*.py"))]
+    public = [
+        label for label in dead_definitions(defining, reading) if not label.split(": ")[1].startswith("_")
+    ]
+    assert public == sorted(TEST_ONLY_NAMES)
 
 
 def test_the_cli_loads_no_dataclasses_machinery():

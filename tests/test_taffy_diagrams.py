@@ -10,7 +10,6 @@ from pullcalc.diagrams.geometry import (
     bounding_box,
     comes_within,
     piece_intersections,
-    reflect_piece_x,
     rotate_piece_180,
 )
 from pullcalc.diagrams.taffy import (
@@ -64,8 +63,6 @@ def test_arc_arc_intersections():
 
 def test_transforms_flip_the_bulge():
     arc = HalfCircle((1.0, 0.0), 2.0, "west")
-    assert reflect_piece_x(arc, 3.0).side == "east"
-    assert reflect_piece_x(arc, 3.0).center == (5.0, 0.0)
     spun = rotate_piece_180(arc, (4.0, 1.0))
     assert spun.side == "east"
     assert spun.center == (7.0, 2.0)
@@ -133,6 +130,22 @@ def test_negative_diagram_is_the_rotated_reciprocal():
     assert spun.strand == direct.strand
     assert direct.counts == LayerCounts(right=1, left=3)
     assert verify_taffy(direct).passes
+
+
+def test_every_orientation_is_the_half_turn_of_its_mirror_value():
+    """The direct build of -1/q is the rotated build of q, for all
+    coprime q with |num| + den <= 34 in both signs."""
+    checked = 0
+    for total in range(1, 35):
+        for a in range(total + 1):
+            b = total - a
+            if math.gcd(a, b) != 1:
+                continue
+            for num in ({a, -a} if b else {a}):
+                q = make(num, b)
+                assert build_taffy(neg_recip(q)).strand == rotate_taffy(build_taffy(q)).strand, q
+                checked += 1
+    assert checked == 720
 
 
 def test_rotation_swaps_the_measured_counts():
