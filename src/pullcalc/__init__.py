@@ -1,115 +1,41 @@
-"""pullcalc: exact arithmetic for taffy pulls and rational tangles."""
+"""pullcalc: exact arithmetic for taffy pulls and rational tangles.
 
-from .analysis import (
-    alternating_layers,
-    alternating_word,
-    cw_row,
-    effectiveness_report,
-    fibonacci,
-    four_way_children,
-    max_total_layers,
-)
-from .diagrams import (
-    build_taffy,
-    build_tangle,
-    format_tangle,
-    parse_tangle,
-    render_taffy_svg,
-    render_tangle_svg,
-    rotate_taffy,
-    tangle_number,
-    verify_taffy,
-)
-from .rationals import (
-    ExtRational,
-    apply_turn_rule,
-    cf_eval,
-    cf_expand,
-    format_cf,
-    make,
-    neg_recip,
-    parse_fraction,
-)
-from .treewalk import (
-    INFINITY,
-    INITIAL,
-    CanonicalClass,
-    LayerCounts,
-    canonical_word,
-    canonicalize_arith,
-    canonicalize_rewrite,
-    equivalent,
-    layer_counts,
-    number_trace,
-    rotate_canonical,
-    slow_euclid_trace,
-    taffy_number,
-    word_to_cf,
-)
-from .words import (
-    L,
-    L_INV,
-    R,
-    R_INV,
-    Word,
-    WordSyntaxError,
-    format_word,
-    invert_word,
-    parse_word,
-    reduce,
-    to_run_form,
-)
+Every public name is imported from its home module on first use and
+then cached here, so a later lookup is a plain attribute read.  Where
+bytecode is not cached (``PYTHONDONTWRITEBYTECODE``), Python compiles
+every module it imports from source, so the source a command imports
+is start-up time; and of the CLI's subcommands only the two render
+commands draw.  So ``import pullcalc`` loads no submodule, and the
+diagram modules load only when a drawing name is first used.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExtRational",
-    "CanonicalClass",
-    "LayerCounts",
-    "Word",
-    "WordSyntaxError",
-    "INITIAL",
-    "INFINITY",
-    "R",
-    "L",
-    "R_INV",
-    "L_INV",
-    "alternating_layers",
-    "alternating_word",
-    "apply_turn_rule",
-    "build_taffy",
-    "build_tangle",
-    "canonical_word",
-    "canonicalize_arith",
-    "canonicalize_rewrite",
-    "cf_eval",
-    "cf_expand",
-    "cw_row",
-    "effectiveness_report",
-    "equivalent",
-    "fibonacci",
-    "format_cf",
-    "format_tangle",
-    "format_word",
-    "four_way_children",
-    "invert_word",
-    "layer_counts",
-    "make",
-    "max_total_layers",
-    "neg_recip",
-    "number_trace",
-    "parse_fraction",
-    "parse_tangle",
-    "parse_word",
-    "reduce",
-    "render_taffy_svg",
-    "render_tangle_svg",
-    "rotate_canonical",
-    "rotate_taffy",
-    "slow_euclid_trace",
-    "taffy_number",
-    "tangle_number",
-    "to_run_form",
-    "verify_taffy",
-    "word_to_cf",
-]
+# home module -> its public names; each name is written here once
+_PUBLIC = {
+    "analysis": """alternating_layers alternating_word cw_row effectiveness_report
+        fibonacci four_way_children max_total_layers""",
+    "diagrams": """build_taffy build_tangle render_taffy_svg render_tangle_svg
+        rotate_taffy verify_taffy""",
+    "rationals": """ExtRational apply_turn_rule cf_eval cf_expand format_cf make
+        neg_recip parse_fraction""",
+    "treewalk": """INFINITY INITIAL CanonicalClass LayerCounts canonical_word
+        canonicalize_arith canonicalize_rewrite equivalent layer_counts
+        number_trace rotate_canonical slow_euclid_trace taffy_number
+        tangle_number word_to_cf""",
+    "words": """L L_INV R R_INV Word WordSyntaxError format_tangle format_word
+        invert_word parse_tangle parse_word reduce to_run_form""",
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    globals()[name] = value
+    return value

@@ -19,14 +19,6 @@ import sys
 from typing import NamedTuple
 
 from . import analysis, treewalk, words
-from .diagrams import (
-    build_taffy,
-    build_tangle,
-    parse_tangle,
-    render_taffy_svg,
-    render_tangle_svg,
-    tangle_number,
-)
 from .rationals import ExtRational, cf_expand, digit_limit, format_cf, parse_fraction
 
 
@@ -199,19 +191,25 @@ def _cmd_report(args):
 
 
 def _cmd_tangle_eval(args):
-    twists = parse_tangle(args.word)
-    q = tangle_number(twists)
+    twists = words.parse_tangle(args.word)
+    q = treewalk.tangle_number(twists)
     if args.json:
         return {"word": args.word, "crossings": len(twists), "tangle_number": _frac(q)}
     return q
 
 
+# The two drawing commands alone load the diagram modules.
+
 def _cmd_render_taffy(args):
+    from .diagrams import build_taffy, render_taffy_svg
+
     return render_taffy_svg(build_taffy(_value_of(args.value)))
 
 
 def _cmd_render_tangle(args):
-    return render_tangle_svg(build_tangle(parse_tangle(args.word)))
+    from .diagrams import build_tangle, render_tangle_svg
+
+    return render_tangle_svg(build_tangle(words.parse_tangle(args.word)))
 
 
 # --- parser ---------------------------------------------------------------------

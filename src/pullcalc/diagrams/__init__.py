@@ -1,5 +1,11 @@
-"""Diagram reconstruction and SVG rendering for pulls and tangles."""
+"""Diagram reconstruction and SVG rendering for pulls and tangles.
 
+``parse_tangle``, ``format_tangle`` and ``tangle_number`` are arithmetic
+and live in ``words`` and ``treewalk``; they stay importable from here.
+"""
+
+from ..treewalk import tangle_number
+from ..words import format_tangle, parse_tangle
 from .geometry import HalfCircle, Segment, piece_intersections
 from .taffy import (
     TaffyDiagram,
@@ -9,15 +15,7 @@ from .taffy import (
     rotate_taffy,
     verify_taffy,
 )
-from .tangles import (
-    Crossing,
-    TangleDiagram,
-    build_tangle,
-    format_tangle,
-    parse_tangle,
-    render_tangle_svg,
-    tangle_number,
-)
+from .tangles import Crossing, TangleDiagram, build_tangle, render_tangle_svg
 
 __all__ = [
     "Crossing",

@@ -1,11 +1,8 @@
-"""Rational tangle diagrams built twist by twist.
+"""Rational tangle diagrams built twist by twist, and their SVG.
 
-A twist word uses the same four codes as a turn word, spelled V/H
-instead of R/L: V twists the two right-hand ends around each other, H
-the two bottom ends, and lowercase (or a negative exponent) undoes the
-twist.  The fraction of the resulting tangle is computed through the
-continued-fraction bridge, which gives a second, independent route to
-the same number the turn fold produces.
+This module only draws.  Twist words (``words.parse_tangle``) and the
+fraction of a tangle (``treewalk.tangle_number``) are arithmetic and
+live with the turn words; the SVG's title is that fraction.
 """
 
 from __future__ import annotations
@@ -13,28 +10,10 @@ from __future__ import annotations
 from itertools import islice
 from typing import NamedTuple
 
-from .. import words
-from ..rationals import ExtRational, cf_eval
-from ..treewalk import word_to_cf
+from ..treewalk import tangle_number
 from .taffy import STROKE_WIDTH, _fmt
 
-TWIST_CODES = {"V": 0, "H": 1}
-TWIST_LETTERS = ("V", "H")
 TANGLE_CAP = 10000  # most twists build_tangle will draw
-
-
-def parse_tangle(text: str):
-    """Twist word from text; same grammar as turn words."""
-    return words.tokenize(text, TWIST_CODES)
-
-
-def format_tangle(word, style: str = "plain") -> str:
-    return words.format_word(word, style=style, letters=TWIST_LETTERS)
-
-
-def tangle_number(twists) -> ExtRational:
-    """The fraction of the tangle, via its continued fraction."""
-    return cf_eval(word_to_cf(twists))
 
 
 class Crossing(NamedTuple):

