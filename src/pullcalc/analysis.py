@@ -84,10 +84,8 @@ def cw_row(n: int) -> RowListing:
 def four_way_children(q: ExtRational) -> dict:
     """All four children of q, keyed L, R, L^-1, R^-1 in that order."""
     return {
-        "L": apply_turn_rule(q, words.L),
-        "R": apply_turn_rule(q, words.R),
-        "L^-1": apply_turn_rule(q, words.L_INV),
-        "R^-1": apply_turn_rule(q, words.R_INV),
+        words.format_word((t,)): apply_turn_rule(q, t)
+        for t in (words.L, words.R, words.L_INV, words.R_INV)
     }
 
 

@@ -54,12 +54,12 @@ class Word:
         self._len = sum(counts)
 
     @classmethod
-    def _of(cls, codes: tuple, counts: tuple, length: int) -> "Word":
+    def _of(cls, codes: tuple, counts: tuple) -> "Word":
         """A Word from blocks already merged, with no zero counts."""
         self = object.__new__(cls)
         self.codes = codes
         self.counts = counts
-        self._len = length
+        self._len = sum(counts)
         return self
 
     def __len__(self) -> int:

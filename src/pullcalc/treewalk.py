@@ -36,14 +36,15 @@ class CanonicalClass(NamedTuple):
     (1/0).  ``forward`` words use only R and L and start with R;
     ``reverse`` words are their turn-by-turn inverses and start with
     R^-1.  ``str`` writes the word in the runs style of
-    ``format_word``, which reduces it again on the way.
+    ``format_word``, spelling its blocks as they are.
     """
 
     tag: str
     word: Word
 
     def __str__(self) -> str:
-        return words.format_word(self.word, "runs")
+        word = words.as_word(self.word)
+        return words.spell_blocks(word.codes, word.counts)
 
 
 INITIAL = CanonicalClass("initial", Word())
@@ -192,7 +193,7 @@ def _class(state: list) -> CanonicalClass:
         codes, counts = tuple(codes), (counts[0] + 1, *counts[1:])
     else:
         codes, counts = (lead, *codes), (1, *counts)
-    return CanonicalClass(tag, Word._of(codes, counts, sum(counts)))
+    return CanonicalClass(tag, Word._of(codes, counts))
 
 
 def _rotated(tag: str, mask: int):
@@ -314,6 +315,6 @@ def slow_euclid_trace(q: ExtRational) -> List[TraceStep]:
     if q.den == 0 or q.num <= 0:
         raise ValueError("the subtractive walk needs a positive finite fraction")
     return [
-        TraceStep(ExtRational(a, b), "R" if turn == R else "L")
+        TraceStep(ExtRational(a, b), words.format_word((turn,)))
         for a, b, turn in _subtractive_walk(q.num, q.den)
     ]

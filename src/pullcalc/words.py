@@ -13,6 +13,7 @@ The code arithmetic is load-bearing: ``t ^ 2`` is the inverse turn and
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from pullcalc import kernel
@@ -23,10 +24,11 @@ L = 1
 R_INV = 2
 L_INV = 3
 
-# A twist word of a rational tangle uses the same four codes, spelled
-# V/H: V twists the two right-hand ends around each other, H the two
-# bottom ends, and lowercase (or a negative exponent) undoes the twist.
-TWIST_CODES = {"V": R, "H": L}
+# An alphabet is a letter pair indexed by the letter bit ``t & 1``, read
+# and written only here.  Twist words of rational tangles spell the same
+# codes V/H: V twists the two right-hand ends around each other, H the
+# two bottom ends, and lowercase (or a negative exponent) undoes a twist.
+TURN_LETTERS = ("R", "L")
 TWIST_LETTERS = ("V", "H")
 
 MAX_TURNS = 2**24  # longest word tokenize will accept
@@ -40,11 +42,11 @@ class WordSyntaxError(ValueError):
         self.offset = offset
 
 
-def tokenize(text: str, letter_codes: dict) -> Word:
+def tokenize(text: str, letters: tuple) -> Word:
     """Scan ``text`` into a word using the given uppercase alphabet.
 
-    ``letter_codes`` maps each forward letter to its code; the lowercase
-    form of a letter spells its inverse, and ``X^k`` repeats (a negative
+    ``letters`` is the alphabet's letter pair; the lowercase form of a
+    letter spells its inverse, and ``X^k`` repeats (a negative
     k applying the inverse |k| times).  ``e`` is the empty word and may
     appear anywhere.  Whitespace separates nothing in particular.  A
     word of more than MAX_TURNS turns is refused, and an exponent with
@@ -64,9 +66,9 @@ def tokenize(text: str, letter_codes: dict) -> Word:
             i += 1
             continue
         upper = ch.upper()
-        if upper not in letter_codes:
+        if upper not in letters:
             raise WordSyntaxError("unexpected %r" % ch, offset=i)
-        base = letter_codes[upper]
+        base = letters.index(upper)
         if ch != upper:
             base ^= 2
         at = i
@@ -100,48 +102,45 @@ def tokenize(text: str, letter_codes: dict) -> Word:
             counts.append(count)
             last = base
         total += count
-    return Word._of(tuple(codes), tuple(counts), total)
+    return Word._of(tuple(codes), tuple(counts))
 
 
 def parse_word(text: str) -> Word:
     """Parse R/L notation ("R^2 L R^-1", "r l", "e") into a word."""
-    return tokenize(text, {"R": R, "L": L})
+    return tokenize(text, TURN_LETTERS)
 
 
 def parse_tangle(text: str) -> Word:
     """Parse V/H notation ("V^2 H v") into a twist word."""
-    return tokenize(text, TWIST_CODES)
+    return tokenize(text, TWIST_LETTERS)
 
 
-def format_word(word: Sequence[int], style: str = "plain", letters: tuple = ("R", "L")) -> str:
+def format_word(word: Sequence[int], style: str = "plain", letters: tuple = TURN_LETTERS) -> str:
     """Render a word as text.
 
-    ``plain`` writes one token per turn; ``runs`` freely reduces first
-    and collects each block into a single exponent.  The empty word
+    Both styles spell blocks: ``plain`` every turn as a block of one,
+    ``runs`` the blocks of the freely reduced word.  The empty word
     comes out as ``e`` in both styles.
     """
     if style == "plain":
-        names = {
-            0: letters[0],
-            1: letters[1],
-            2: letters[0] + "^-1",
-            3: letters[1] + "^-1",
-        }
-        if not word:
-            return "e"
-        return " ".join(names[t] for t in word)
+        return spell_blocks(word, repeat(1), letters)
     if style != "runs":
         raise ValueError("unknown style %r" % style)
+    return spell_blocks(*_reduced_blocks(word), letters)
+
+
+def spell_blocks(codes: Iterable[int], counts: Iterable[int], letters: tuple = TURN_LETTERS) -> str:
+    """Write ``(code, count)`` blocks as is, ``e`` when there are none:
+    each is ``X`` or ``X^n``, X is ``letters[code & 1]``, and n is the
+    count, negated for an inverse code (``code & 2``)."""
     parts = []
-    for pos, n in enumerate(to_run_form(word)):
-        if n == 0:
-            continue
-        letter = letters[pos & 1]
-        if n == 1:
-            parts.append(letter)
-        else:
-            parts.append("%s^%d" % (letter, n))
-    return " ".join(parts) if parts else "e"
+    for t, k in zip(codes, counts):
+        if t not in (0, 1, 2, 3):
+            raise ValueError("bad turn code %r" % (t,))
+        if t & 2:
+            k = -k
+        parts.append(letters[t & 1] if k == 1 else "%s^%d" % (letters[t & 1], k))
+    return " ".join(parts) or "e"
 
 
 def format_tangle(word: Sequence[int], style: str = "plain") -> str:
@@ -192,7 +191,7 @@ def _reduced_blocks(word: Iterable[int]) -> tuple:
 def reduce(word: Iterable[int]) -> Word:
     """Freely reduce: cancel every adjacent turn/inverse pair."""
     codes, counts = _reduced_blocks(word)
-    return Word._of(tuple(codes), tuple(counts), sum(counts))
+    return Word._of(tuple(codes), tuple(counts))
 
 
 def to_run_form(word: Iterable[int]) -> tuple:
@@ -223,7 +222,7 @@ def from_run_form(runs: Sequence[int]) -> Word:
         if n:
             codes.append(pos & 1 if n > 0 else pos & 1 | 2)
             counts.append(abs(n))
-    return Word._of(tuple(codes), tuple(counts), sum(counts))
+    return Word._of(tuple(codes), tuple(counts))
 
 
 def as_word(word: Iterable[int]) -> Word:
@@ -234,10 +233,10 @@ def as_word(word: Iterable[int]) -> Word:
 def invert_word(word: Sequence[int]) -> Word:
     """The word that undoes ``word``: reversed, each turn inverted."""
     w = as_word(word)
-    return Word._of(tuple(t ^ 2 for t in reversed(w.codes)), w.counts[::-1], len(w))
+    return Word._of(tuple(t ^ 2 for t in reversed(w.codes)), w.counts[::-1])
 
 
 def negate_runs(word: Sequence[int]) -> Word:
     """Invert every turn in place (run lengths flip sign, order stays)."""
     w = as_word(word)
-    return Word._of(tuple(t ^ 2 for t in w.codes), w.counts, len(w))
+    return Word._of(tuple(t ^ 2 for t in w.codes), w.counts)

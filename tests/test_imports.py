@@ -1,9 +1,10 @@
 """Every module of the package uses each name it imports, and every
 name the package defines is read somewhere; exporting a name is not
 reading it.  A public name that only tests read is on an allowlist
-with its reason.  Starting the CLI loads no ``dataclasses``, and only
-the drawing commands load the diagram modules.  The package's public
-names are locked, and each resolves on first use."""
+with its reason.  Only ``words`` spells a turn.  Starting the CLI loads
+no ``dataclasses``, and only the drawing commands load the diagram
+modules.  The package's public names are locked, and each resolves on
+first use."""
 
 import ast
 import pathlib
@@ -128,6 +129,42 @@ def test_every_name_only_tests_read_is_on_the_allowlist():
         label for label in dead_definitions(defining, reading) if not label.split(": ")[1].startswith("_")
     ]
     assert public == sorted(TEST_ONLY_NAMES)
+
+
+def turn_spellings(source: str):
+    """String constants, docstrings aside, that spell a turn: a bare
+    letter of either alphabet, or anything with ``^-1`` in it."""
+    tree = ast.parse(source)
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docstrings.add(first.value)
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node not in docstrings
+        and (node.value in ("R", "L", "V", "H") or "^-1" in node.value)
+    )
+
+
+def test_the_scan_sees_a_spelled_turn():
+    source = '"""R^-1 aside."""\ndef f():\n    """L"""\n    return {"L": 1, "x^-1": 2, "RL": 3, "l": 4}\n'
+    assert turn_spellings(source) == [(4, "L"), (4, "x^-1")]
+
+
+# The diagram modules are left out: their "L", "R" and "P" are the stub
+# keys of the taffy builder, not turns.
+@pytest.mark.parametrize("module", ["analysis", "cli", "kernel", "rationals", "treewalk"])
+def test_only_words_spells_a_turn(module):
+    assert turn_spellings((SRC / (module + ".py")).read_text()) == []
+
+
+def test_words_writes_each_alphabet_once():
+    assert sorted(value for _, value in turn_spellings((SRC / "words.py").read_text())) == ["H", "L", "R", "V"]
 
 
 def loaded_modules(code: str) -> list:

@@ -24,7 +24,7 @@ from pullcalc.treewalk import (
     taffy_number,
     word_to_cf,
 )
-from pullcalc.words import L, L_INV, R, R_INV, TWIST_CODES, WordSyntaxError, parse_tangle, parse_word
+from pullcalc.words import L, L_INV, R, R_INV, WordSyntaxError, parse_tangle, parse_word
 
 
 def reference_tokenize(text, letter_codes, max_turns):
@@ -105,7 +105,7 @@ def budget(turns):
     return mock.patch.object(words, "MAX_TURNS", turns)
 
 
-ALPHABETS = [("turns", parse_word, {"R": R, "L": L}), ("twists", parse_tangle, TWIST_CODES)]
+ALPHABETS = [("turns", parse_word, {"R": R, "L": L}), ("twists", parse_tangle, {"V": R, "H": L})]
 
 
 @pytest.mark.parametrize("parse, codes", [a[1:] for a in ALPHABETS], ids=[a[0] for a in ALPHABETS])
