@@ -13,7 +13,6 @@ success exits 0.
 import argparse
 import contextlib
 import io
-import json
 import re
 import sys
 from typing import NamedTuple
@@ -312,7 +311,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.handler(args)
-        text = json.dumps(result) if args.json else str(result)
+        if args.json:
+            import json  # only --json uses it, so other commands start without it
+
+            text = json.dumps(result)
+        else:
+            text = str(result)
         if args.output == "-":
             print(text)
         else:

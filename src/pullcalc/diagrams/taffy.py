@@ -489,6 +489,14 @@ def _fmt(v: float) -> str:
     return "0" if s in ("-0", "") else s
 
 
+def _svg(width: float, height: float, title: str, body: list) -> str:
+    """A standalone SVG document of the given size: the opening tag,
+    ``title``, the lines of ``body`` and the closing tag, one a line."""
+    w, h = _fmt(width), _fmt(height)
+    head = '<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" viewBox="0 0 %s %s">'
+    return "\n".join([head % (w, h, w, h), "<title>%s</title>" % title, *body, "</svg>"])
+
+
 def render_taffy_svg(diagram: TaffyDiagram) -> str:
     """Draw a verified diagram as a standalone SVG document.
 
@@ -523,14 +531,6 @@ def render_taffy_svg(diagram: TaffyDiagram) -> str:
     gr = (pegs[1][0] + pegs[2][0]) / 2.0
 
     parts = []
-    parts.append(
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" '
-        'viewBox="0 0 %s %s">' % (_fmt(width), _fmt(height), _fmt(width), _fmt(height))
-    )
-    parts.append(
-        "<title>taffy pull: left %d, right %d</title>"
-        % (diagram.counts.left, diagram.counts.right)
-    )
     for line_x, cls, count in (
         (gl, "gap gap-left", diagram.counts.left),
         (gr, "gap gap-right", diagram.counts.right),
@@ -562,5 +562,5 @@ def render_taffy_svg(diagram: TaffyDiagram) -> str:
             '<circle class="peg" cx="%s" cy="%s" r="%s" fill="#333"/>'
             % (_fmt(x_of(px)), _fmt(y_of(py)), _fmt(PEG_RADIUS * STRAND_GAP))
         )
-    parts.append("</svg>")
-    return "\n".join(parts)
+    title = "taffy pull: left %d, right %d" % (diagram.counts.left, diagram.counts.right)
+    return _svg(width, height, title, parts)

@@ -11,7 +11,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from ..treewalk import tangle_number
-from .taffy import STROKE_WIDTH, _fmt
+from .taffy import STROKE_WIDTH, _fmt, _svg
 
 TANGLE_CAP = 10000  # most twists build_tangle will draw
 
@@ -165,12 +165,5 @@ def render_tangle_svg(diagram: TangleDiagram) -> str:
             % (label, _fmt(ex * TILE + pad), _fmt(ey * TILE + pad), _fmt(STROKE_WIDTH * 1.5))
         )
 
-    width = w + 2.0 * pad
-    height = h + 2.0 * pad
-    head = (
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" viewBox="0 0 %s %s">'
-        % (_fmt(width), _fmt(height), _fmt(width), _fmt(height))
-    )
-    number = tangle_number(diagram.twists)
-    title = "<title>rational tangle %s</title>" % (number,)
-    return "\n".join([head, title] + body + ["</svg>"])
+    title = "rational tangle %s" % (tangle_number(diagram.twists),)
+    return _svg(w + 2.0 * pad, h + 2.0 * pad, title, body)

@@ -94,9 +94,14 @@ def fold_turns(word, num=0, den=1):
     """Fold the turn rules over ``word`` starting from num/den.
 
     Returns the final (num, den) pair with the denominator sign
-    normalized and any n/0 collapsed to 1/0.
+    normalized and any n/0 collapsed to 1/0; an empty word returns the
+    seed as given.  The normal form is applied once, at the end: every
+    step is linear, and from a coprime seed the denominator reaches 0
+    only at 1/0 or -1/0, so normalizing after each step gives the same
+    pair.
     """
     a, b = num, den
+    t = None
     for t, k in _blocks(word):
         if t == 0:
             a = a + k * b
@@ -108,8 +113,6 @@ def fold_turns(word, num=0, den=1):
             b = b - k * a
         else:
             raise ValueError("bad turn code %r" % (t,))
-        if b < 0:
-            a, b = -a, -b
-        elif b == 0:
-            a = 1
-    return a, b
+    if b > 0 or t is None:
+        return a, b
+    return (-a, -b) if b else (1, 0)

@@ -117,15 +117,19 @@ def _subtractive_walk(a: int, b: int):
 def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     """The unique canonical word whose taffy number is q.
 
-    ``slow`` walks the subtractive Euclidean algorithm down to the
-    seed, one turn per step.  ``fast`` expands |q| as a continued
-    fraction, forces the expansion to odd length with the tail identity
-    [..., c] = [..., c - 1, 1], and reads the runs off in reverse.
-    Negative fractions take the run-negated word of their absolute
-    value.  The word has as many turns as the coefficients sum to, and
-    a word of more than MAX_TURNS turns is refused before either mode
-    builds or walks anything.
+    Both modes write the word's blocks directly, and a negative q sets
+    the inverse bit (``| 2``) of every code.  ``slow`` walks the
+    subtractive Euclidean algorithm from |q| down to the seed, one turn
+    per step, and groups the turns read backwards.  ``fast`` expands |q|
+    as a continued fraction, forces the expansion to odd length with the
+    tail identity [..., c] = [..., c - 1, 1], and reads the coefficients
+    in reverse as runs of R, L, R, ...; only the first coefficient can
+    be 0, and it comes last, so it is dropped.  The word has as many
+    turns as the coefficients sum to, and a word of more than MAX_TURNS
+    turns is refused before either mode builds or walks anything.
     """
+    if mode not in ("fast", "slow"):
+        raise ValueError("unknown mode %r" % mode)
     if q.den == 0:
         return INFINITY
     if q.num == 0:
@@ -134,19 +138,18 @@ def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     coeffs = list(cf_expand(ExtRational._coprime(a, b)))
     if sum(coeffs) > words.MAX_TURNS:
         raise ValueError("canonical word longer than %d turns" % words.MAX_TURNS)
+    inverse = 2 if q.num < 0 else 0
     if mode == "slow":
-        word = Word(reversed([turn for _, _, turn in _subtractive_walk(a, b)]))
-        if q.num < 0:
-            word = words.negate_runs(word)
-    elif mode == "fast":
+        word = Word(reversed([turn | inverse for _, _, turn in _subtractive_walk(a, b)]))
+    else:
         if len(coeffs) % 2 == 0:
             coeffs[-1] -= 1
             coeffs.append(1)
-        sign = -1 if q.num < 0 else 1
-        word = words.from_run_form([sign * c for c in reversed(coeffs)])
-    else:
-        raise ValueError("unknown mode %r" % mode)
-    return CanonicalClass("reverse" if q.num < 0 else "forward", word)
+        runs = coeffs[::-1]
+        if not runs[-1]:
+            runs.pop()
+        word = Word._of(tuple(i & 1 | inverse for i in range(len(runs))), tuple(runs))
+    return CanonicalClass("reverse" if inverse else "forward", word)
 
 
 def canonicalize_arith(word: Sequence[int]) -> CanonicalClass:

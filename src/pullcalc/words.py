@@ -206,25 +206,6 @@ def to_run_form(word: Iterable[int]) -> tuple:
     return tuple(runs)
 
 
-def from_run_form(runs: Sequence[int]) -> Word:
-    """Rebuild the word for a run tuple.
-
-    Zero runs are tolerated at either end (continued-fraction bridges
-    produce them) but rejected in the interior, where they would hide a
-    cancellation.
-    """
-    runs = tuple(runs)
-    for pos in range(1, len(runs) - 1):
-        if runs[pos] == 0:
-            raise ValueError("zero run in the interior at position %d" % pos)
-    codes, counts = [], []
-    for pos, n in enumerate(runs):
-        if n:
-            codes.append(pos & 1 if n > 0 else pos & 1 | 2)
-            counts.append(abs(n))
-    return Word._of(tuple(codes), tuple(counts))
-
-
 def as_word(word: Iterable[int]) -> Word:
     """``word`` itself if it is a Word, else its turns grouped into one."""
     return word if isinstance(word, Word) else Word(word)
@@ -235,8 +216,3 @@ def invert_word(word: Sequence[int]) -> Word:
     w = as_word(word)
     return Word._of(tuple(t ^ 2 for t in reversed(w.codes)), w.counts[::-1])
 
-
-def negate_runs(word: Sequence[int]) -> Word:
-    """Invert every turn in place (run lengths flip sign, order stays)."""
-    w = as_word(word)
-    return Word._of(tuple(t ^ 2 for t in w.codes), w.counts)

@@ -2,9 +2,9 @@
 name the package defines is read somewhere; exporting a name is not
 reading it.  A public name that only tests read is on an allowlist
 with its reason.  Only ``words`` spells a turn.  Starting the CLI loads
-no ``dataclasses``, and only the drawing commands load the diagram
-modules.  The package's public names are locked, and each resolves on
-first use."""
+no ``dataclasses``, only the drawing commands load the diagram
+modules, and only ``--json`` loads ``json``.  The package's public
+names are locked, and each resolves on first use."""
 
 import ast
 import pathlib
@@ -241,3 +241,14 @@ def test_the_diagram_package_keeps_the_tangle_arithmetic_names():
     assert diagrams.parse_tangle is words.parse_tangle
     assert diagrams.format_tangle is words.format_tangle
     assert diagrams.tangle_number is treewalk.tangle_number
+
+
+def test_only_json_output_loads_json():
+    plain = """
+from pullcalc import cli
+for argv in (["eval", "R L"], ["canon", "R L"], ["render-taffy", "3/2"]):
+    assert cli.run(argv).exit_code == 0, argv
+"""
+    loaded = loaded_modules(plain)
+    assert "pullcalc.cli" in loaded and "json" not in loaded
+    assert "json" in loaded_modules(plain + "assert cli.run(['eval', 'R L', '--json']).exit_code == 0")

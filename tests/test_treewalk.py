@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pullcalc import treewalk, words
-from pullcalc.rationals import make, neg_recip
+from pullcalc.kernel import Word
+from pullcalc.rationals import cf_expand, make, neg_recip
 from pullcalc.treewalk import (
     INFINITY,
     INITIAL,
@@ -23,6 +24,7 @@ from pullcalc.treewalk import (
     word_to_cf,
 )
 from pullcalc.words import parse_word
+from test_words import reference_from_run_form
 
 
 def cls(tag, text):
@@ -122,6 +124,73 @@ def test_canonical_word_rejects_unknown_mode():
         canonical_word(make(1, 2), "psychic")
 
 
+@pytest.mark.parametrize("q", [make(0, 1), make(1, 0), make(1, 10**9)])
+def test_canonical_word_checks_its_mode_first(q):
+    # before the special classes, and before the turn budget's cf_expand
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        canonical_word(q, "bogus")
+
+
+def negated(word):
+    """Reference: every turn inverted in place, so the run lengths flip
+    sign and their order stays."""
+    w = words.as_word(word)
+    return Word._of(tuple(t ^ 2 for t in w.codes), w.counts)
+
+
+def reference_canonical_word(q):
+    """Reference: the canonical word read off the continued fraction of
+    |q| as a signed run tuple and parsed back into a word."""
+    if q.den == 0:
+        return INFINITY
+    if q.num == 0:
+        return INITIAL
+    coeffs = list(cf_expand(make(abs(q.num), q.den)))
+    if len(coeffs) % 2 == 0:
+        coeffs[-1] -= 1
+        coeffs.append(1)
+    sign = -1 if q.num < 0 else 1
+    word = reference_from_run_form([sign * c for c in reversed(coeffs)])
+    return CanonicalClass("reverse" if q.num < 0 else "forward", word)
+
+
+def _inverter_values():
+    for a in range(0, 151):
+        for b in range(0, 151):
+            if math.gcd(a, b) == 1:
+                yield a, b
+    ns = set(range(1, 31)) | {10**k + d for k in range(2, 6) for d in (-1, 0, 1)} | {10**6}
+    for n in sorted(ns):
+        yield 1, n
+        yield n, 1
+    fib = [0, 1]
+    while len(fib) <= 200:
+        fib.append(fib[-1] + fib[-2])
+    for k in range(1, 200):
+        yield fib[k + 1], fib[k]
+        yield fib[k], fib[k + 1]
+    rng = random.Random(140)
+    for _ in range(200):
+        a, b = rng.getrandbits(140), rng.getrandbits(140) | 1
+        g = math.gcd(a, b)
+        yield a // g, b // g
+
+
+def test_both_inverters_write_the_reference_blocks():
+    for a, b in _inverter_values():
+        for num in (a, -a) if a else (a,):
+            q = make(num, b)
+            ref = reference_canonical_word(q)
+            want = (ref.tag, ref.word.codes, ref.word.counts)
+            for mode in ("slow", "fast"):
+                c = canonical_word(q, mode)
+                assert (c.tag, c.word.codes, c.word.counts) == want, (q, mode)
+            w = c.word  # the fast word: blocks merged, every count positive
+            assert len(w.codes) == len(w.counts), q
+            assert all(k > 0 for k in w.counts), q
+            assert all(x != y for x, y in zip(w.codes, w.codes[1:])), q
+
+
 def test_canonical_word_round_trips_through_the_number():
     for b in range(1, 40):
         for a in range(-40, 41):
@@ -167,7 +236,7 @@ def test_rotate_canonical_is_an_involution_that_negates_and_flips():
     classes = [INITIAL, INFINITY]
     for c in _forward_classes(10):
         classes.append(c)
-        classes.append(CanonicalClass("reverse", words.negate_runs(c.word)))
+        classes.append(CanonicalClass("reverse", negated(c.word)))
     for c in classes:
         rot = rotate_canonical(c)
         assert rotate_canonical(rot) == c
@@ -177,7 +246,7 @@ def test_rotate_canonical_is_an_involution_that_negates_and_flips():
 def test_run_negation_negates_the_number():
     for c in _forward_classes(12):
         q = taffy_number(c.word)
-        assert taffy_number(words.negate_runs(c.word)) == make(-q.num, q.den)
+        assert taffy_number(negated(c.word)) == make(-q.num, q.den)
 
 
 # --- rewrite canonicalization -------------------------------------------------

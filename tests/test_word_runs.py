@@ -199,9 +199,7 @@ def test_the_word_passes_return_words():
     w = parse_word("R^5 L^-2 R^-1")
     for result in (
         words.reduce(w),
-        words.from_run_form((5, -2, -1)),
         words.invert_word(w),
-        words.negate_runs(w),
         canonical_word(taffy_number(w)).word,
         canonical_word(taffy_number(w), "slow").word,
         canonicalize_rewrite(w).word,
