@@ -17,7 +17,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from . import analysis, treewalk, words
+from . import analysis, kernel, treewalk, words
 from .rationals import ExtRational, cf_expand, digit_limit, format_cf, parse_fraction
 
 
@@ -56,6 +56,29 @@ def _refuse_unwritable(numbers) -> None:
         raise ValueError("answer longer than %d digits" % limit)
 
 
+def _writable_trace(word, size):
+    """``number_trace`` of a Word, refused first if some entry's
+    ``size(num, den)``, a non-negative int, is too long to write.
+
+    The check folds block by block and keeps no trace.  Over a block of
+    equal turns, one term of an entry is fixed and the other is
+    |x + j*y| at step j, so the size is convex in j and largest at the
+    block's first or last turn.  A word past ``TRACE_CAP`` is left to
+    ``number_trace``, which refuses it on its turn count.
+    """
+    if word._len <= treewalk.TRACE_CAP:
+        _refuse_unwritable(_block_end_sizes(word, size))
+    return treewalk.number_trace(word)
+
+
+def _block_end_sizes(word, size):
+    a, b = 0, 1
+    for t, k in zip(word.codes, word.counts):
+        yield size(*kernel.fold_turns((t,), a, b))
+        a, b = kernel.fold_turns(kernel.Word._of((t,), (k,)), a, b)
+        yield size(a, b)
+
+
 def _accept_negative_fractions(parser: argparse.ArgumentParser) -> None:
     """Let "-7/9" through as a positional instead of an unknown flag.
 
@@ -75,7 +98,7 @@ def _cmd_eval(args):
     if args.json:
         # "reduced" is written one token per turn, so it is capped like a trace.
         reduced = words.reduce(word)
-        if len(reduced) > treewalk.TRACE_CAP:
+        if reduced._len > treewalk.TRACE_CAP:
             raise ValueError("reduced words are capped at %d turns" % treewalk.TRACE_CAP)
         counts = treewalk.layer_counts(word)
         return {
@@ -88,9 +111,9 @@ def _cmd_eval(args):
             "canonical": str(treewalk.canonicalize_arith(word)),
         }
     if args.trace:
-        trace = treewalk.number_trace(word)
-        _refuse_unwritable(max(abs(q.num), q.den) for q in trace)
-        steps = ("start",) + tuple(words.format_word((t,)) for t in word)
+        trace = _writable_trace(word, lambda a, b: max(abs(a), b))
+        # the empty word spells "e", which zip drops: its trace is the seed alone
+        steps = ["start"] + words.format_word(word).split()
         return "\n".join("%-5s %s" % pair for pair in zip(steps, trace))
     return treewalk.taffy_number(word)
 
@@ -170,9 +193,8 @@ def _cmd_maxlayers(args):
 
 
 def _cmd_report(args):
-    trace = treewalk.number_trace(words.parse_word(args.word))
     # every ratio's terms are at most the totals
-    _refuse_unwritable(abs(q.num) + q.den for q in trace)
+    trace = _writable_trace(words.parse_word(args.word), lambda a, b: abs(a) + b)
     rows = analysis.trace_report(trace)
     if args.json:
         return [
@@ -193,7 +215,7 @@ def _cmd_tangle_eval(args):
     twists = words.parse_tangle(args.word)
     q = treewalk.tangle_number(twists)
     if args.json:
-        return {"word": args.word, "crossings": len(twists), "tangle_number": _frac(q)}
+        return {"word": args.word, "crossings": twists._len, "tangle_number": _frac(q)}
     return q
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import NamedTuple
 
+from ..kernel import Word
 from ..treewalk import tangle_number
 from .taffy import STROKE_WIDTH, _fmt, _svg
 
@@ -62,12 +63,17 @@ class TangleDiagram(_TangleDiagram):
 
 def build_tangle(twists) -> TangleDiagram:
     """The diagram of a twist word.  Its SVG grows by one tile per
-    twist, so a word of more than TANGLE_CAP twists is refused having
-    read no more than one twist past the cap."""
-    twists = tuple(islice(twists, TANGLE_CAP + 1))
-    if len(twists) > TANGLE_CAP:
+    twist, so a word of more than TANGLE_CAP twists is refused before
+    any twist is drawn: a Word on its turn count, any other iterable
+    having read no more than one twist past the cap."""
+    if isinstance(twists, Word):
+        count = twists._len
+    else:
+        twists = tuple(islice(twists, TANGLE_CAP + 1))
+        count = len(twists)
+    if count > TANGLE_CAP:
         raise ValueError("tangle diagrams are capped at %d twists" % TANGLE_CAP)
-    return TangleDiagram(twists)
+    return TangleDiagram(tuple(twists))
 
 
 # --- rendering ----------------------------------------------------------------

@@ -29,12 +29,17 @@ class Word:
 
     ``codes`` and ``counts`` are tuples of the same length: neighbouring
     codes differ and every count is positive, so each word has exactly
-    one block form.  A Word iterates, equals, hashes and prints like the
-    tuple of its turns, and ``len`` is O(1); it does not support
-    indexing, slicing or ``+``.  ``Word(turns)`` groups any iterable of
-    codes; the word passes build blocks directly.  Nothing assigns to a
-    Word once it is built (there is no ``__setattr__`` guard, which
-    would triple the cost of building one).
+    one block form.  ``_len``, the sum of the counts, is the turn count:
+    it is read in O(1) at any size, and every cap on a word's length
+    reads it.  A Word iterates, equals, hashes and prints like the tuple
+    of its turns, so ``len``, iteration, ``hash`` and ``repr`` answer
+    only for a word whose turns could be a tuple: ``len`` and iteration
+    raise OverflowError past ``sys.maxsize`` turns, and ``hash`` and
+    ``repr`` walk every turn.  It does not support indexing, slicing or
+    ``+``.  ``Word(turns)`` groups any iterable of codes; the word
+    passes build blocks directly.  Nothing assigns to a Word once it is
+    built (there is no ``__setattr__`` guard, which would triple the
+    cost of building one).
     """
 
     __slots__ = ("codes", "counts", "_len")

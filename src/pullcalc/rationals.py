@@ -88,17 +88,18 @@ def digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _integer(digits: str, part: str) -> int:
-    """int() of a run of decimal digits.
+def _integer(digits: str, what: str) -> int:
+    """int() of a run of decimal digits, a fraction's term or an exponent.
 
     Leading zeros aside, more digits than ``sys.get_int_max_str_digits()``
-    are refused before int() is asked, which would refuse them with
-    advice meant for the programmer.
+    are refused, as ``what`` longer than that many digits, before int()
+    is asked, which would refuse them with advice meant for the
+    programmer.
     """
     digits = digits.lstrip("0")
     limit = digit_limit()
     if limit and len(digits) > limit:
-        raise ValueError("not a fraction: %s longer than %d digits" % (part, limit))
+        raise ValueError("%s longer than %d digits" % (what, limit))
     return int(digits or "0")
 
 
@@ -108,8 +109,8 @@ def parse_fraction(text: str) -> ExtRational:
     if not match:
         raise ValueError("not a fraction: %r" % text)
     sign, num, den = match.groups()
-    num = (-1 if sign else 1) * _integer(num, "numerator")
-    den = 1 if den is None else _integer(den, "denominator")
+    num = (-1 if sign else 1) * _integer(num, "not a fraction: numerator")
+    den = 1 if den is None else _integer(den, "not a fraction: denominator")
     if num == 0 and den == 0:
         raise ValueError("not a fraction: 0/0")
     return ExtRational(num, den)

@@ -17,6 +17,7 @@ from pullcalc.rationals import ExtRational, cf_eval, cf_expand
 from pullcalc.words import L, L_INV, R, R_INV, Word
 
 TRACE_CAP = 2**16  # longest word number_trace will walk turn by turn
+SLOW_CAP = 2**24  # most steps the subtractive walk of a slow canonical_word takes
 
 
 class LayerCounts(NamedTuple):
@@ -60,9 +61,10 @@ def number_trace(word: Sequence[int]) -> List[ExtRational]:
     """Every intermediate fraction, seed first, one entry per turn.
 
     The output grows with every turn, so a word of more than TRACE_CAP
-    turns is refused before any work.
+    turns is refused, on its turn count, before any work.
     """
-    if len(word) > TRACE_CAP:
+    word = words.as_word(word)
+    if word._len > TRACE_CAP:
         raise ValueError("traces are capped at %d turns" % TRACE_CAP)
     a, b = 0, 1
     trace = [ExtRational._coprime(a, b)]
@@ -125,8 +127,11 @@ def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     tail identity [..., c] = [..., c - 1, 1], and reads the coefficients
     in reverse as runs of R, L, R, ...; only the first coefficient can
     be 0, and it comes last, so it is dropped.  The word has as many
-    turns as the coefficients sum to, and a word of more than MAX_TURNS
-    turns is refused before either mode builds or walks anything.
+    turns as the coefficients sum to.  ``fast`` costs O(coefficients)
+    whatever that sum; ``slow`` takes one step per turn, so past
+    SLOW_CAP turns it is refused before the walk starts.  The walk
+    takes at most a + b - 1 steps from a/b, so the coefficients are
+    summed only when that bound is past the cap.
     """
     if mode not in ("fast", "slow"):
         raise ValueError("unknown mode %r" % mode)
@@ -135,13 +140,13 @@ def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     if q.num == 0:
         return INITIAL
     a, b = abs(q.num), q.den
-    coeffs = list(cf_expand(ExtRational._coprime(a, b)))
-    if sum(coeffs) > words.MAX_TURNS:
-        raise ValueError("canonical word longer than %d turns" % words.MAX_TURNS)
     inverse = 2 if q.num < 0 else 0
     if mode == "slow":
+        if a + b - 1 > SLOW_CAP and sum(cf_expand(ExtRational._coprime(a, b))) > SLOW_CAP:
+            raise ValueError("slow canonical words are capped at %d turns" % SLOW_CAP)
         word = Word(reversed([turn | inverse for _, _, turn in _subtractive_walk(a, b)]))
     else:
+        coeffs = list(cf_expand(ExtRational._coprime(a, b)))
         if len(coeffs) % 2 == 0:
             coeffs[-1] -= 1
             coeffs.append(1)

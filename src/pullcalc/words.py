@@ -5,7 +5,10 @@ right turn, a left turn, or the reverse of either.  A word is a
 ``kernel.Word`` of the small integer codes below: it is stored as runs,
 so ``R^k`` is parsed, reduced and rebuilt as one block and never spelled
 out turn by turn, and it compares, hashes and prints as the tuple of
-its turns.  Every function here also accepts a plain tuple of codes.
+its turns.  An exponent is a number, however large: only the paths
+that write or draw a word turn by turn cap its length, and they read
+the word's turn count to do so.  Every function here also accepts a
+plain tuple of codes.
 
 The code arithmetic is load-bearing: ``t ^ 2`` is the inverse turn and
 ``t & 1`` is the letter (0 for the R family, 1 for the L family).
@@ -13,11 +16,13 @@ The code arithmetic is load-bearing: ``t ^ 2`` is the inverse turn and
 
 from __future__ import annotations
 
-from itertools import repeat
+from functools import lru_cache
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from pullcalc import kernel
 from pullcalc.kernel import Word
+from pullcalc.rationals import _integer
 
 R = 0
 L = 1
@@ -30,8 +35,6 @@ L_INV = 3
 # two bottom ends, and lowercase (or a negative exponent) undoes a twist.
 TURN_LETTERS = ("R", "L")
 TWIST_LETTERS = ("V", "H")
-
-MAX_TURNS = 2**24  # longest word tokenize will accept
 
 
 class WordSyntaxError(ValueError):
@@ -48,14 +51,15 @@ def tokenize(text: str, letters: tuple) -> Word:
     ``letters`` is the alphabet's letter pair; the lowercase form of a
     letter spells its inverse, and ``X^k`` repeats (a negative
     k applying the inverse |k| times).  ``e`` is the empty word and may
-    appear anywhere.  Whitespace separates nothing in particular.  A
-    word of more than MAX_TURNS turns is refused, and an exponent with
-    more digits than MAX_TURNS (leading zeros aside) before it is
-    converted.  Each token adds one block, merged into the last one when
+    appear anywhere.  Whitespace separates nothing in particular.  An
+    exponent is a number, read like a fraction's terms
+    (``rationals._integer``): one with more digits than Python converts
+    (leading zeros aside) is refused at its offset, and no other limit
+    applies.  Each token adds one block, merged into the last one when
     the codes agree, so ``X^k`` costs the same for every k.
     """
     codes, counts = [], []
-    last = total = 0
+    last = None
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -71,7 +75,6 @@ def tokenize(text: str, letters: tuple) -> Word:
         base = letters.index(upper)
         if ch != upper:
             base ^= 2
-        at = i
         i += 1
         count = 1
         if i < n and text[i] == "^":
@@ -86,22 +89,19 @@ def tokenize(text: str, letters: tuple) -> Word:
                 j += 1
             if j == i:
                 raise WordSyntaxError("expected an integer after '^'", offset=at)
-            digits = text[i:j].lstrip("0")
-            if len(digits) > len(str(MAX_TURNS)):
-                raise WordSyntaxError("word longer than %d turns" % MAX_TURNS, offset=at)
-            count = int(digits or "0")
+            try:
+                count = _integer(text[i:j], "exponent")
+            except ValueError as exc:
+                raise WordSyntaxError(str(exc), offset=at) from None
             i = j
-        if total + count > MAX_TURNS:
-            raise WordSyntaxError("word longer than %d turns" % MAX_TURNS, offset=at)
-        if not count:
-            continue
-        if codes and base == last:
+            if not count:
+                continue
+        if base == last:
             counts[-1] += count
         else:
             codes.append(base)
             counts.append(count)
             last = base
-        total += count
     return Word._of(tuple(codes), tuple(counts))
 
 
@@ -118,15 +118,31 @@ def parse_tangle(text: str) -> Word:
 def format_word(word: Sequence[int], style: str = "plain", letters: tuple = TURN_LETTERS) -> str:
     """Render a word as text.
 
-    Both styles spell blocks: ``plain`` every turn as a block of one,
-    ``runs`` the blocks of the freely reduced word.  The empty word
-    comes out as ``e`` in both styles.
+    Both styles spell blocks: ``plain`` writes each block's one-turn
+    token ``count`` times, ``runs`` the blocks of the freely reduced
+    word.  The empty word comes out as ``e`` in both styles.
     """
     if style == "plain":
-        return spell_blocks(word, repeat(1), letters)
+        token = _turn_tokens(letters).__getitem__
+        if isinstance(word, Word):
+            turns = chain.from_iterable(map(repeat, map(token, word.codes), word.counts))
+        else:
+            turns = map(token, word)  # one turn per block
+        try:
+            return " ".join(turns) or "e"
+        except KeyError as exc:
+            raise ValueError("bad turn code %r" % exc.args) from None
     if style != "runs":
         raise ValueError("unknown style %r" % style)
     return spell_blocks(*_reduced_blocks(word), letters)
+
+
+@lru_cache
+def _turn_tokens(letters: tuple) -> dict:
+    """Each turn code's one-turn token in an alphabet, as spell_blocks
+    writes it."""
+    codes = (R, L, R_INV, L_INV)
+    return dict(zip(codes, spell_blocks(codes, repeat(1), letters).split()))
 
 
 def spell_blocks(codes: Iterable[int], counts: Iterable[int], letters: tuple = TURN_LETTERS) -> str:

@@ -1,25 +1,51 @@
 """Every command line gets an answer or a one-line refusal.
 
-Generated argv cover every subcommand with bounded words, fractions
-and sizes, some of them malformed, and the optional flags each
-subcommand takes.  Whatever the input, the exit code is 0, 1 or 2, no
-traceback is written, and a domain error (exit 1) is one line.  Sizes
-stay small enough that no run is slow: tree rows stop at 14, taffy
-diagrams stay small and the brute-force scan is left out.
+Generated argv cover every subcommand with words, fractions and sizes,
+some of them malformed, and the optional flags each subcommand takes.
+Whatever the input, the exit code is 0, 1 or 2, no traceback is
+written, and a domain error (exit 1) is one line.  Exponents are
+numbers, so words also carry exponents of up to 30 digits and a few of
+4,000: a word of more turns than ``sys.maxsize`` must be answered from
+its blocks or refused on its turn count, never measured with ``len()``
+or iterated (either raises OverflowError, which would escape as a
+traceback).  Other sizes stay small enough that no run is slow: tree
+rows stop at 14, taffy diagrams stay small and the brute-force scan is
+left out.
 """
 
+import sys
+import tracemalloc
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pullcalc.cli import run
+from pullcalc.cli import _block_end_sizes, run
+from pullcalc.kernel import Word
+from pullcalc.treewalk import number_trace
 
 JUNK = ["e", "Q", "^", "R^", "^-", "0", "-", "R^x", "L^+"]
+
+# Exponents of 1 to 30 digits, each length as likely as the others (a
+# plain integer range would draw mostly small ones), and in one branch
+# of three, so that they are few, exponents of 4,000 digits.
+up_to_30_digits = st.builds(
+    "{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.integers(1, 30).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+)
+huge_exponents = st.one_of(
+    up_to_30_digits, up_to_30_digits, st.sampled_from(["7" * 4000, "-1" + "0" * 3999])
+)
 
 
 def word_texts(letters, size=8, power=9):
     """Texts of up to ``size`` tokens, letters with exponents of at most
-    ``power``, and in half of the texts some junk among them."""
+    ``power`` or huge ones, and in half of the texts some junk among
+    them."""
     letter = st.sampled_from(letters + letters.lower())
-    exponent = st.one_of(st.just(""), st.integers(-power, power).map("^{}".format))
+    exponent = st.one_of(
+        st.just(""), st.integers(-power, power).map("^{}".format), huge_exponents.map("^{}".format)
+    )
     token = st.builds("{}{}".format, letter, exponent)
     junky = st.one_of(token, st.sampled_from(JUNK))
     return st.one_of(st.lists(token, max_size=size), st.lists(junky, min_size=1, max_size=size)).map(" ".join)
@@ -28,7 +54,8 @@ def word_texts(letters, size=8, power=9):
 turn_words = word_texts("RL")
 twist_words = word_texts("VH")
 # A taffy diagram near its 10,000-layer cap takes a second to verify;
-# these words stay under 200 layers.
+# these words stay under 200 layers unless a huge exponent takes them
+# past the cap, where they are refused before any drawing.
 small_turn_words = word_texts("RL", size=4, power=3)
 fractions = st.one_of(
     st.builds("{}/{}".format, st.integers(-300, 300), st.integers(0, 300)),
@@ -74,3 +101,50 @@ def test_every_command_line_answers_or_refuses_in_one_line(argv):
     elif result.exit_code == 1:
         assert result.stdout == "", argv
         assert result.stderr.startswith("pullcalc: ") and result.stderr.count("\n") == 1, argv
+
+
+def test_a_23_digit_exponent_has_its_answer():
+    k = 10**23
+    assert run(["eval", "R^%d" % k]) == (0, "%d/1\n" % k, "")
+    assert run(["canon", "R^%d" % k]) == (0, "R^%d\n" % k, "")
+    assert run(["cf", "R^%d" % k]) == (0, "[%d]\n" % k, "")
+    assert run(["layers", "L^%d" % k]) == (0, "left 1, right 0\n", "")
+    assert run(["tangle-eval", "V^%d" % k, "--json"]).stdout == (
+        '{"word": "V^%d", "crossings": %d, "tangle_number": {"num": %d, "den": 1}}\n' % (k, k, k)
+    )
+    assert run(["invert", str(k)]) == (0, "R^%d\n" % k, "")
+
+
+block_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_lists)
+def test_the_block_ends_bound_every_trace_entry(blocks):
+    """The size of a trace's entries peaks at a block's first or last turn."""
+    word = Word(t for t, k in blocks for _ in range(k))
+    entries = number_trace(word)[1:]
+    for size in (lambda a, b: max(abs(a), b), lambda a, b: abs(a) + b):
+        assert max(_block_end_sizes(word, size), default=0) == max(
+            (size(q.num, q.den) for q in entries), default=0
+        )
+
+
+@pytest.mark.parametrize("command", [["eval", "--trace"], ["report"]])
+def test_a_trace_that_climbs_past_the_digit_limit_and_back_is_refused_at_once(command):
+    # Under Python's least digit limit, 640, 6,000 alternating turns
+    # climb past it and their inverse comes back to 0/1: refused from
+    # the blocks, with no trace built (the whole trace would take about
+    # 4.5 MB).
+    text = "R L " * 3000 + "l r " * 3000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    tracemalloc.start()
+    try:
+        result = run(command[:1] + [text] + command[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.set_int_max_str_digits(limit)
+    assert result == (1, "", "pullcalc: answer longer than 640 digits\n")
+    assert peak < 2**20

@@ -62,7 +62,7 @@ def test_number_trace_is_capped_before_any_work(monkeypatch):
         number_trace(parse_word("R^11"))
     monkeypatch.undo()
     with pytest.raises(ValueError, match="traces are capped at 65536 turns"):
-        number_trace(parse_word("R^%d" % words.MAX_TURNS))
+        number_trace(parse_word("R^%d" % 10**23))  # past sys.maxsize: read from the turn count
 
 
 def test_layer_counts_orders_right_then_left():
@@ -368,9 +368,34 @@ def test_rewrite_of_a_long_word_and_its_inverse_is_initial():
 
 @pytest.mark.parametrize("mode", ["fast", "slow"])
 def test_canonical_word_refuses_a_word_past_the_turn_budget(mode):
-    for q in (make(1, words.MAX_TURNS + 2), make(-1, words.MAX_TURNS + 2), make(10**30, 1)):
-        with pytest.raises(ValueError, match="longer than %d turns" % words.MAX_TURNS):
-            canonical_word(q, mode)
+    # Words past the 2**24-turn budget both modes once shared: fast mode
+    # costs O(coefficients) and answers; slow mode walks one step per
+    # turn and keeps the budget as its own cap, SLOW_CAP.
+    n = 2**24
+    answers = {
+        make(1, n + 2): "R L^%d" % (n + 1),
+        make(-1, n + 2): "R^-1 L^-%d" % (n + 1),
+        make(10**30, 1): "R^%d" % 10**30,
+    }
+    for q, text in answers.items():
+        if mode == "fast":
+            c = canonical_word(q, mode)
+            assert str(c) == text and taffy_number(c.word) == q
+        else:
+            with pytest.raises(ValueError, match="^slow canonical words are capped at %d turns$" % n):
+                canonical_word(q, mode)
+
+
+def test_slow_canonical_word_is_capped_by_its_walk(monkeypatch):
+    # a + b - 1 bounds the walk; past the cap the coefficient sum decides
+    monkeypatch.setattr(treewalk, "SLOW_CAP", 10)
+    assert str(canonical_word(make(1, 10), "slow")) == "R L^9"
+    assert str(canonical_word(make(-10, 1), "slow")) == "R^-10"
+    for q in (make(1, 11), make(11, 1)):  # walks of 11 steps
+        with pytest.raises(ValueError, match="^slow canonical words are capped at 10 turns$"):
+            canonical_word(q, "slow")
+    for q in (make(-3, 10), make(89, 55)):  # a + b - 1 past 10, walks of 6 and 10 steps
+        assert canonical_word(q, "slow") == canonical_word(q)
 
 
 def test_canonical_word_length_is_the_coefficient_sum():

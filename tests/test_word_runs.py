@@ -3,14 +3,17 @@
 ``reference_tokenize`` is the earlier tokenizer, which spelled every
 ``X^k`` out turn by turn, kept here as the oracle: on any text the
 run-backed tokenizer must give the same turns, or refuse it with the
-same message at the same offset.  The contract tests hold a ``Word`` to
-the tuple of its turns, and the memory guard checks that a word of
-sixteen million turns is walked by its runs, never spelled out.
+same message at the same offset.  An exponent is a number, so a text
+may spell more turns than the oracle can list; past a cap it counts
+them instead, and the two must agree on the count.  The contract tests
+hold a ``Word`` to the tuple of its turns, and the memory guard checks
+that a word of more than 2**64 turns is walked by its runs, never
+spelled out.
 """
 
+import sys
 import time
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +30,12 @@ from pullcalc.treewalk import (
 from pullcalc.words import L, L_INV, R, R_INV, WordSyntaxError, parse_tangle, parse_word
 
 
-def reference_tokenize(text, letter_codes, max_turns):
-    """The expanding tokenizer: a list of turns, grown token by token."""
+def reference_tokenize(text, letter_codes, cap):
+    """The expanding tokenizer: the turn count of ``text`` and its
+    turns, a list grown token by token.  Past ``cap`` turns the list is
+    dropped (None) and the turns are only counted."""
     turns = []
+    total = 0
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -45,7 +51,6 @@ def reference_tokenize(text, letter_codes, max_turns):
         base = letter_codes[upper]
         if ch != upper:
             base ^= 2
-        at = i
         i += 1
         count = 1
         if i < n and text[i] == "^":
@@ -61,22 +66,38 @@ def reference_tokenize(text, letter_codes, max_turns):
             if j == i:
                 raise WordSyntaxError("expected an integer after '^'", offset=at)
             digits = text[i:j].lstrip("0")
-            if len(digits) > len(str(max_turns)):
-                raise WordSyntaxError("word longer than %d turns" % max_turns, offset=at)
+            limit = sys.get_int_max_str_digits()
+            if limit and len(digits) > limit:
+                raise WordSyntaxError("exponent longer than %d digits" % limit, offset=at)
             count = int(digits or "0")
             i = j
-        if len(turns) + count > max_turns:
-            raise WordSyntaxError("word longer than %d turns" % max_turns, offset=at)
-        turns.extend([base] * count)
-    return tuple(turns)
+        total += count
+        if total > cap:
+            turns = None
+        else:
+            turns.extend([base] * count)
+    return total, None if turns is None else tuple(turns)
+
+
+def counted(word, cap):
+    """A parsed word as ``reference_tokenize`` gives it: its turn count,
+    and its turns if there are at most ``cap`` of them."""
+    return word._len, tuple(word) if word._len <= cap else None
 
 
 def outcome(tokenize, text):
-    """The turns ``tokenize`` gives for ``text``, or its refusal."""
+    """What ``tokenize`` gives for ``text``, or its refusal."""
     try:
-        return tuple(tokenize(text))
+        return tokenize(text)
     except WordSyntaxError as exc:
         return ("refused", str(exc), exc.offset)
+
+
+def agree(parse, codes, text, cap):
+    """Does ``parse`` agree with the reference on ``text``, turn by turn
+    up to ``cap`` turns and by count past it?"""
+    ours = outcome(lambda t: counted(parse(t), cap), text)
+    return ours == outcome(lambda t: reference_tokenize(t, codes, cap), text)
 
 
 WHITESPACE = " \t\n\x0b\x0c\r\x85\xa0   　"
@@ -100,11 +121,6 @@ _tokens = st.one_of(
 word_texts = st.lists(_tokens, max_size=30).map("".join)
 
 
-def budget(turns):
-    """``words.MAX_TURNS`` set to ``turns`` for the duration of a with block."""
-    return mock.patch.object(words, "MAX_TURNS", turns)
-
-
 ALPHABETS = [("turns", parse_word, {"R": R, "L": L}), ("twists", parse_tangle, {"V": R, "H": L})]
 
 
@@ -112,16 +128,16 @@ ALPHABETS = [("turns", parse_word, {"R": R, "L": L}), ("twists", parse_tangle, {
 @settings(max_examples=400, deadline=None)
 @given(text=st.one_of(free_texts, word_texts))
 def test_tokenizer_agrees_with_the_expanding_reference(parse, codes, text):
-    with budget(1000):
-        assert outcome(parse, text) == outcome(lambda t: reference_tokenize(t, codes, 1000), text)
+    assert agree(parse, codes, text, 1000)
 
 
 @pytest.mark.parametrize("parse, codes", [a[1:] for a in ALPHABETS], ids=[a[0] for a in ALPHABETS])
 @settings(max_examples=300, deadline=None)
 @given(text=word_texts)
 def test_tokenizer_agrees_with_the_reference_at_the_real_budget(parse, codes, text):
-    reference = outcome(lambda t: reference_tokenize(t, codes, words.MAX_TURNS), text)
-    assert outcome(parse, text) == reference
+    # 2**24, the turn budget the tokenizer once had: the same texts as
+    # then are spelled out, and the longer ones, once refused, counted
+    assert agree(parse, codes, text, 2**24)
 
 
 @pytest.mark.parametrize(
@@ -129,8 +145,8 @@ def test_tokenizer_agrees_with_the_reference_at_the_real_budget(parse, codes, te
     ["R^999 L^2", "R^1000", "R^1001", "R^500 r^501", "R^0999 R", "R^00001000", "R^10000", "R^-1 " * 3],
 )
 def test_tokenizer_agrees_with_the_reference_at_the_budget(text):
-    with budget(1000):
-        assert outcome(parse_word, text) == outcome(lambda t: reference_tokenize(t, {"R": R, "L": L}, 1000), text)
+    # texts on either side of the reference's 1000-turn spelling cap
+    assert agree(parse_word, {"R": R, "L": L}, text, 1000)
 
 
 def test_a_parsed_word_is_one_block_per_run():
@@ -249,7 +265,8 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
-LONG = "R^8388608 L^-3 R^8388605"  # 16,777,216 turns, the whole budget
+N = 2**64
+LONG = "R^%d L^-3 R^%d" % (N, N - 3)  # 2**65 turns, past sys.maxsize
 
 
 @pytest.mark.parametrize(
@@ -265,14 +282,15 @@ LONG = "R^8388608 L^-3 R^8388605"  # 16,777,216 turns, the whole budget
     ids=lambda x: x if isinstance(x, str) else "",
 )
 def test_a_word_of_the_whole_budget_is_walked_by_runs(what, fn):
-    assert len(parse_word(LONG)) == words.MAX_TURNS
+    # once a word of the whole 2**24-turn budget; now one no tuple could hold
+    assert parse_word(LONG)._len == 2 * N > sys.maxsize
     assert peak_bytes(fn) < 2**20, what
 
 
 def test_the_long_word_has_its_answer():
     w = parse_word(LONG)
     q = taffy_number(w)
-    # 0/1 -> 8388608/1 -> -8388608/25165823 -> (8388605 * 25165823 - 8388608)/25165823
-    assert (q.num, q.den) == (8388605 * 25165823 - 8388608, 25165823)
+    # 0/1 -> N/1 -> -N/(3N - 1) -> ((N - 3)(3N - 1) - N)/(3N - 1)
+    assert (q.num, q.den) == ((N - 3) * (3 * N - 1) - N, 3 * N - 1)
     assert str(canonicalize_arith(w)) == str(canonicalize_rewrite(w))
     assert taffy_number(canonical_word(q).word) == q

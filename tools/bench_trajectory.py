@@ -8,10 +8,13 @@ change as the only argument:
 It runs the command that BENCHMARK.json declares for every workload it
 lists, once at ``--trace 0`` (end-to-end metrics) and once at
 ``--trace 1`` (per-layer metrics), each for the declared
-``run_seconds`` with the fixed seed below.  It writes both output lines
-of every run (the ``# `` line of raw figures and the JSON result), the
-machine it ran on and the git revision to BENCH_<n>.json at the root of
-the checkout.  It exits 1 if any run gives no result line.
+``run_seconds`` with the fixed seed below.  It also runs the tier-1
+test suite once and records its wall time, its summary line and its ten
+slowest tests (``--durations=10``).  It writes both output lines of
+every benchmark run (the ``# `` line of raw figures and the JSON
+result), the tier-1 record, the machine it ran on and the git revision
+to BENCH_<n>.json at the root of the checkout.  It exits 1 if any run
+gives no result line or the tier-1 suite fails.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 7
@@ -72,6 +77,33 @@ def run(command, workload: str, seconds, trace: int) -> dict:
     return record
 
 
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
+_DURATION = re.compile(r"([0-9.]+)s (setup|call|teardown) +(\S+)")
+
+
+def tier1() -> dict:
+    """One run of the tier-1 suite: wall time, summary and slowest tests."""
+    env = dict(os.environ)
+    paths = (os.path.join(ROOT, "src"), env.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    slowest = [
+        {"seconds": float(m.group(1)), "phase": m.group(2), "test": m.group(3)}
+        for m in map(_DURATION.fullmatch, lines)
+        if m
+    ]
+    return {
+        "command": ["python", *TIER1[1:]],
+        "exit_code": proc.returncode,
+        "wall_s": round(wall, 2),
+        "summary": lines[-1] if lines else "",
+        "slowest": slowest,
+    }
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].isdecimal():
         print("usage: python3 tools/bench_trajectory.py <n>", file=sys.stderr)
@@ -83,6 +115,8 @@ def main(argv) -> int:
         for trace in (0, 1):
             runs.append(run(spec["command"], workload, spec["run_seconds"], trace))
             print(workload, "trace", trace, "done", file=sys.stderr, flush=True)
+    tests = tier1()
+    print("tier-1 done", file=sys.stderr, flush=True)
     document = {
         "revision": git("rev-parse", "HEAD"),
         "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no")),
@@ -91,13 +125,14 @@ def main(argv) -> int:
         "seed": SEED,
         "run_seconds": spec["run_seconds"],
         "runs": runs,
+        "tier1": tests,
     }
     path = os.path.join(ROOT, "BENCH_%s.json" % argv[0])
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=1)
         handle.write("\n")
     print(path)
-    return 0 if all(r["result"] is not None for r in runs) else 1
+    return 0 if all(r["result"] is not None for r in runs) and tests["exit_code"] == 0 else 1
 
 
 if __name__ == "__main__":
