@@ -64,28 +64,25 @@ class TaffyReport(NamedTuple):
         return self.counts_match and self.single_arc and self.ends_on_pegs and self.embedded
 
 
-def _seg(x1, y1, x2, y2) -> Segment:
-    return Segment((float(x1), float(y1)), (float(x2), float(y2)))
-
-
 def _assemble(units):
     """Flatten connection units into one ordered strand.
 
     Each unit is (pieces, end_a, end_b) where the ends are stub keys
-    ("L", i) / ("R", j) or peg keys ("P", n).  Every stub key must be
-    shared by exactly two units; the walk starts at the westmost peg
-    end and must consume everything, otherwise the connection pattern
-    does not describe a single arc and we refuse to guess.
+    ("left", i) / ("right", j) or peg keys ("peg", n).  Every stub key
+    must be shared by exactly two units; the walk starts at the
+    westmost peg end and must consume everything, otherwise the
+    connection pattern does not describe a single arc and we refuse to
+    guess.
     """
     by_end = {}
     for idx, (_, ea, eb) in enumerate(units):
         by_end.setdefault(ea, []).append(idx)
         by_end.setdefault(eb, []).append(idx)
-    peg_keys = sorted(k for k in by_end if k[0] == "P")
+    peg_keys = sorted(k for k in by_end if k[0] == "peg")
     if len(peg_keys) != 2:
         raise RuntimeError("expected exactly two peg endpoints, found %r" % (peg_keys,))
     for key, owners in by_end.items():
-        want = 1 if key[0] == "P" else 2
+        want = 1 if key[0] == "peg" else 2
         if len(owners) != want:
             raise RuntimeError("connection point %r used %d times, not %d" % (key, len(owners), want))
     path = []
@@ -103,7 +100,7 @@ def _assemble(units):
         else:
             path.extend(reverse_piece(p) for p in reversed(pieces))
             key = ea
-        if key[0] == "P":
+        if key[0] == "peg":
             break
         one, other = by_end[key]
         idx = other if one == idx else one
@@ -112,77 +109,78 @@ def _assemble(units):
     return tuple(path)
 
 
-def _build_core(l: int, r: int, mirror: bool, flip: bool):
-    """Strand pieces for a count pair with l >= r, gcd 1, measured as
-    left = l crossings and right = r crossings; mirror draws it across
-    the middle peg (swapping the two counts) and flip upside down.
+def build_taffy(q: ExtRational) -> TaffyDiagram:
+    """Reconstruct a taffy diagram whose measured value is q.
+
+    The strand is laid out for the count pair l >= r, gcd 1, measured
+    as left = l crossings and right = r crossings, and drawn mirrored
+    across the middle peg when the right count is the larger, upside
+    down for a negative value.  The picture of -1/q is the half-turn
+    ``rotate_taffy`` of the picture of q, so -1/1, the half-turn of
+    1/1, mirrors as well.  The verifier re-measures the counts from
+    scratch.  Values with |num| + den past TAFFY_CAP are refused before
+    any work.
 
     Left stub i sits at (gl, l+1-2i), right stub j at (gr, r+1-2j).
-    The first r left stubs run straight through to the right stubs on
-    elevated tracks, the surplus d = l - r is soaked up by w = d//2
-    hairpins around the middle peg plus one arm onto it when d is odd.
-    Every track is placed above (or below) the whole stub band it
-    serves, so each vertical runs monotonically from its stub to its
-    track and entries sliding along the stub heights always pass under
-    the verticals already placed.
+    Each outer peg pairs its own stubs, outermost first, into rainbows
+    round it, plus one arm onto it when its count is odd.  The first r
+    left stubs run straight through to the right stubs on elevated
+    tracks, the surplus d = l - r is soaked up by w = d//2 hairpins
+    around the middle peg plus one arm onto it when d is odd.  Every
+    track is placed above (or below) the whole stub band it serves, so
+    each vertical runs monotonically from its stub to its track and
+    entries sliding along the stub heights always pass under the
+    verticals already placed.
     """
+    if abs(q.num) + q.den > TAFFY_CAP:
+        raise ValueError("taffy diagrams are capped at %d layers" % TAFFY_CAP)
+    right, left = abs(q.num), q.den
+    flip = q.num < 0
+    mirror = right > left or (flip and right == left)
+    l, r = max(right, left), min(right, left)
     t = l + r
     big_d = 2 * t + 6
     gl, gr = t + 3, 3 * t + 9
-    m = r
-    d = l - r
-    w = d // 2
-    arm = d % 2
+    w, arm = divmod(l - r, 2)  # hairpins round the middle peg, and its arm
     x0, xs = (2 * big_d, -1) if mirror else (0, 1)  # x -> x0 + xs * x
     ys = -1 if flip else 1  # y -> ys * y
     west, east = ("east", "west") if mirror else ("west", "east")  # rainbow bulges
     top = not flip  # rainbows start at their top pole
 
     def seg(x1, y1, x2, y2):
-        return _seg(x0 + xs * x1, ys * y1, x0 + xs * x2, ys * y2)
+        return Segment((float(x0 + xs * x1), float(ys * y1)), (float(x0 + xs * x2), float(ys * y2)))
 
     def s(i):  # left stub heights, top to bottom
         return l + 1 - 2 * i
 
-    def re(j):  # right stub heights
-        return r + 1 - 2 * j
-
-    base = max(l - 1 - 2 * m, 0)  # top of the hairpin stub band, floored at 0
+    base = max(l - 1 - 2 * r, 0)  # top of the hairpin stub band, floored at 0
     p0 = max(l, base + w + 1)  # through tracks start above everything else
 
     units = []
 
-    # west rainbows around the left peg, plus its attachment when l is odd
-    for i in range(1, l // 2 + 1):
-        h = s(i)
-        pieces = [
-            seg(gl, h, 0, h),
-            HalfCircle((float(x0), 0.0), float(h), west, top),
-            seg(0, -h, gl, -h),
-        ]
-        units.append((pieces, ("L", i), ("L", l + 1 - i)))
-    if l % 2:
-        units.append(([seg(gl, 0, PEG_RADIUS, 0)], ("L", (l + 1) // 2), ("P", 0)))
+    def outer(n, key, peg, gap, bulge, tip):
+        # rainbows round peg number ``peg`` from the n stubs at x = gap,
+        # plus the arm from the middle stub to the peg's rim at x = tip
+        x = peg * big_d
+        for i in range(1, n // 2 + 1):
+            h = n + 1 - 2 * i
+            pieces = [
+                seg(gap, h, x, h),
+                HalfCircle((float(x0 + xs * x), 0.0), float(h), bulge, top),
+                seg(x, -h, gap, -h),
+            ]
+            units.append((pieces, (key, i), (key, n + 1 - i)))
+        if n % 2:
+            units.append(([seg(gap, 0, tip, 0)], (key, (n + 1) // 2), ("peg", peg)))
 
-    # east rainbows around the right peg
-    for j in range(1, r // 2 + 1):
-        h = re(j)
-        pieces = [
-            seg(gr, h, 2 * big_d, h),
-            HalfCircle((float(2 * big_d - x0), 0.0), float(h), east, top),
-            seg(2 * big_d, -h, gr, -h),
-        ]
-        units.append((pieces, ("R", j), ("R", r + 1 - j)))
-    if r % 2:
-        units.append(
-            ([seg(gr, 0, 2 * big_d - PEG_RADIUS, 0)], ("R", (r + 1) // 2), ("P", 2))
-        )
+    outer(l, "left", 0, gl, west, PEG_RADIUS)
+    outer(r, "right", 2, gr, east, 2 * big_d - PEG_RADIUS)
 
     # throughs: left stub i to right stub i over the top tracks
-    for i in range(1, m + 1):
-        hw, he = s(i), re(i)
+    for i in range(1, r + 1):
+        hw, he = s(i), r + 1 - 2 * i
         col, ecol = gl + i, gr - i
-        track = p0 + (m - i) + 0.5
+        track = p0 + (r - i) + 0.5
         pieces = [
             seg(gl, hw, col, hw),
             seg(col, hw, col, track),
@@ -190,11 +188,11 @@ def _build_core(l: int, r: int, mirror: bool, flip: bool):
             seg(ecol, track, ecol, he),
             seg(ecol, he, gr, he),
         ]
-        units.append((pieces, ("L", i), ("R", i)))
+        units.append((pieces, ("left", i), ("right", i)))
 
     # hairpins around the middle peg for the surplus, outermost first
     for j in range(1, w + 1):
-        top_i, bot_i = m + j, l + 1 - j
+        top_i, bot_i = r + j, l + 1 - j
         hu, hw_ = s(top_i), s(bot_i)
         a, b = gl + top_i, gl + bot_i
         track = base + (w - j) + 1.5
@@ -209,44 +207,24 @@ def _build_core(l: int, r: int, mirror: bool, flip: bool):
             seg(b, bot_track, b, hw_),
             seg(b, hw_, gl, hw_),
         ]
-        units.append((pieces, ("L", top_i), ("L", bot_i)))
+        units.append((pieces, ("left", top_i), ("left", bot_i)))
 
     # odd surplus: one arm lands on the middle peg
     if arm:
-        i = m + w + 1
-        if m == 0:
+        i = r + w + 1
+        if r == 0:
             pieces = [seg(gl, 0, big_d - PEG_RADIUS, 0)]
         else:
             col = gl + i
             pieces = [
-                seg(gl, -m, col, -m),
-                seg(col, -m, col, 0),
+                seg(gl, -r, col, -r),
+                seg(col, -r, col, 0),
                 seg(col, 0, big_d - PEG_RADIUS, 0),
             ]
-        units.append((pieces, ("L", i), ("P", 1)))
+        units.append((pieces, ("left", i), ("peg", 1)))
 
-    return _assemble(units)
-
-
-def build_taffy(q: ExtRational) -> TaffyDiagram:
-    """Reconstruct a taffy diagram whose measured value is q.
-
-    One pass draws every orientation of the left-heavy core: mirrored
-    across the middle peg when the right count is the larger, upside
-    down for a negative value.  The picture of -1/q is the half-turn
-    ``rotate_taffy`` of the picture of q, so -1/1, the half-turn of 1/1,
-    mirrors as well.  The verifier re-measures the counts from scratch.
-    Values with |num| + den past TAFFY_CAP are refused before any work.
-    """
-    if abs(q.num) + q.den > TAFFY_CAP:
-        raise ValueError("taffy diagrams are capped at %d layers" % TAFFY_CAP)
-    right, left = abs(q.num), q.den
-    flip = q.num < 0
-    mirror = right > left or (flip and right == left)
-    big_d = 2 * (right + left) + 6
     pegs = ((0.0, 0.0), (float(big_d), 0.0), (2.0 * big_d, 0.0))
-    strand = _build_core(max(right, left), min(right, left), mirror, flip)
-    return TaffyDiagram(pegs, strand, LayerCounts(right=right, left=left))
+    return TaffyDiagram(pegs, _assemble(units), LayerCounts(right=right, left=left))
 
 
 def rotate_taffy(d: TaffyDiagram) -> TaffyDiagram:

@@ -171,6 +171,8 @@ def cf_expand(q: ExtRational) -> ContinuedFraction:
 def format_cf(coeffs: Iterable[int]) -> str:
     """Standard bracket notation: [c0; c1, c2, ...]."""
     coeffs = list(coeffs)
+    if not coeffs:
+        raise ValueError("a continued fraction needs at least one coefficient")
     if len(coeffs) == 1:
         return "[%d]" % coeffs[0]
     return "[%d; %s]" % (coeffs[0], ", ".join(str(c) for c in coeffs[1:]))

@@ -119,19 +119,21 @@ def _subtractive_walk(a: int, b: int):
 def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     """The unique canonical word whose taffy number is q.
 
-    Both modes write the word's blocks directly, and a negative q sets
-    the inverse bit (``| 2``) of every code.  ``slow`` walks the
-    subtractive Euclidean algorithm from |q| down to the seed, one turn
-    per step, and groups the turns read backwards.  ``fast`` expands |q|
-    as a continued fraction, forces the expansion to odd length with the
-    tail identity [..., c] = [..., c - 1, 1], and reads the coefficients
-    in reverse as runs of R, L, R, ...; only the first coefficient can
-    be 0, and it comes last, so it is dropped.  The word has as many
-    turns as the coefficients sum to.  ``fast`` costs O(coefficients)
-    whatever that sum; ``slow`` takes one step per turn, so past
-    SLOW_CAP turns it is refused before the walk starts.  The walk
-    takes at most a + b - 1 steps from a/b, so the coefficients are
-    summed only when that bound is past the cap.
+    Both modes write the word's runs, which alternate R, L, R, ... from
+    its first block, and a negative q sets the inverse bit (``| 2``) of
+    every code.  ``slow`` walks the subtractive Euclidean algorithm from
+    |q| down to the seed, one turn per step, counting each run of equal
+    turns as it comes and keeping no turn; the walk's last step is
+    always R from 1/1, so its runs read backwards are the word's.
+    ``fast`` expands |q| as a continued fraction, forces the expansion
+    to odd length with the tail identity [..., c] = [..., c - 1, 1], and
+    reads the coefficients in reverse as the runs; only the first
+    coefficient can be 0, and it comes last, so it is dropped.  The word
+    has as many turns as the coefficients sum to.  ``fast`` costs
+    O(coefficients) whatever that sum; ``slow`` takes one step per
+    turn, so past SLOW_CAP turns it is refused before the walk starts.
+    The walk takes at most a + b - 1 steps from a/b, so the coefficients
+    are summed only when that bound is past the cap.
     """
     if mode not in ("fast", "slow"):
         raise ValueError("unknown mode %r" % mode)
@@ -144,7 +146,14 @@ def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     if mode == "slow":
         if a + b - 1 > SLOW_CAP and sum(cf_expand(ExtRational._coprime(a, b))) > SLOW_CAP:
             raise ValueError("slow canonical words are capped at %d turns" % SLOW_CAP)
-        word = Word(reversed([turn | inverse for _, _, turn in _subtractive_walk(a, b)]))
+        runs, last = [], None
+        for _, _, turn in _subtractive_walk(a, b):
+            if turn == last:
+                runs[-1] += 1
+            else:
+                runs.append(1)
+                last = turn
+        runs.reverse()
     else:
         coeffs = list(cf_expand(ExtRational._coprime(a, b)))
         if len(coeffs) % 2 == 0:
@@ -153,7 +162,7 @@ def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
         runs = coeffs[::-1]
         if not runs[-1]:
             runs.pop()
-        word = Word._of(tuple(i & 1 | inverse for i in range(len(runs))), tuple(runs))
+    word = Word._of(tuple(i & 1 | inverse for i in range(len(runs))), tuple(runs))
     return CanonicalClass("reverse" if inverse else "forward", word)
 
 

@@ -156,9 +156,10 @@ def test_the_scan_sees_a_spelled_turn():
     assert turn_spellings(source) == [(4, "L"), (4, "x^-1")]
 
 
-# The diagram modules are left out: their "L", "R" and "P" are the stub
-# keys of the taffy builder, not turns.
-@pytest.mark.parametrize("module", ["analysis", "cli", "kernel", "rationals", "treewalk"])
+@pytest.mark.parametrize(
+    "module",
+    ["analysis", "cli", "diagrams/geometry", "diagrams/taffy", "diagrams/tangles", "kernel", "rationals", "treewalk"],
+)
 def test_only_words_spells_a_turn(module):
     assert turn_spellings((SRC / (module + ".py")).read_text()) == []
 

@@ -211,6 +211,8 @@ def test_format_cf():
     assert format_cf((1, 3, 2)) == "[1; 3, 2]"
     assert format_cf((5,)) == "[5]"
     assert format_cf((-1, 1, 2)) == "[-1; 1, 2]"
+    with pytest.raises(ValueError, match="^a continued fraction needs at least one coefficient$"):
+        format_cf(())
 
 
 # --- lowest terms without a gcd --------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from pullcalc.diagrams.geometry import (
 from pullcalc.diagrams.taffy import (
     TaffyDiagram,
     TaffyReport,
+    _assemble,
     build_taffy,
     render_taffy_svg,
     rotate_taffy,
@@ -148,6 +151,20 @@ def test_every_orientation_is_the_half_turn_of_its_mirror_value():
     assert checked == 720
 
 
+def test_the_builder_draws_what_it_drew_before():
+    """SHA-256 over the reprs of the builds of criterion 7's values with
+    |num| + den <= 34, in its order, taken before the builder was folded
+    into one pass: every piece, key order and float is locked."""
+    values = [make(0, 1), make(1, 0)]
+    for total in range(2, 35):
+        for a in range(1, total):
+            if math.gcd(a, total - a) == 1:
+                values += [make(a, total - a), make(-a, total - a)]
+    assert len(values) == 720
+    digest = hashlib.sha256("".join(repr(build_taffy(q)) for q in values).encode("utf-8"))
+    assert digest.hexdigest() == "8753f2205d93e76e9c8a2d355322bc2f6c72695e4c114f2cd325b827666d6e5f"
+
+
 def test_rotation_swaps_the_measured_counts():
     d = build_taffy(make(3, 2))
     spun = rotate_taffy(d)
@@ -169,6 +186,45 @@ def test_every_small_value_verifies():
                 q = make(num, b)
                 report = verify_taffy(build_taffy(q))
                 assert report.passes, (q, report)
+
+
+# --- the builder's assembly of connection units --------------------------------
+
+A, B, C = seg(0, 0, 1, 0), seg(1, 0, 2, 0), seg(2, 0, 3, 0)
+
+
+# A unit joined to itself owns both uses of its stub, so the walk from a
+# peg never enters it: it is refused as a loop left over.
+@pytest.mark.parametrize(
+    "units, message",
+    [
+        ([([A], ("peg", 0), ("left", 1))], "expected exactly two peg endpoints, found [('peg', 0)]"),
+        (
+            [([A], ("peg", 0), ("peg", 1)), ([B], ("peg", 2), ("left", 1)), ([C], ("left", 1), ("right", 1))],
+            "expected exactly two peg endpoints, found [('peg', 0), ('peg', 1), ('peg', 2)]",
+        ),
+        (
+            [([A], ("peg", 0), ("left", 1)), ([B], ("left", 2), ("peg", 2))],
+            "connection point ('left', 1) used 1 times, not 2",
+        ),
+        (
+            [([A], ("peg", 0), ("left", 1)), ([B], ("left", 1), ("peg", 2)), ([C], ("left", 1), ("right", 1))],
+            "connection point ('left', 1) used 3 times, not 2",
+        ),
+        (
+            [([A], ("peg", 0), ("peg", 2)), ([B], ("left", 1), ("left", 1))],
+            "1 units left over; pattern is not a single arc",
+        ),
+        (
+            [([A], ("peg", 0), ("peg", 2)), ([B], ("left", 1), ("right", 1)), ([C], ("right", 1), ("left", 1))],
+            "2 units left over; pattern is not a single arc",
+        ),
+    ],
+    ids=["one peg end", "three peg ends", "stub used once", "stub used three times", "unit joined to itself", "loop"],
+)
+def test_assemble_refuses_a_pattern_that_is_not_one_arc(units, message):
+    with pytest.raises(RuntimeError, match="^%s$" % re.escape(message)):
+        _assemble(units)
 
 
 # --- the verifier on dishonest diagrams ----------------------------------------

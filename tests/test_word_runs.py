@@ -8,7 +8,8 @@ may spell more turns than the oracle can list; past a cap it counts
 them instead, and the two must agree on the count.  The contract tests
 hold a ``Word`` to the tuple of its turns, and the memory guard checks
 that a word of more than 2**64 turns is walked by its runs, never
-spelled out.
+spelled out, and that the slow inverter counts its walk into runs
+without keeping a turn.
 """
 
 import sys
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from pullcalc import kernel, words
 from pullcalc.kernel import Word
+from pullcalc.rationals import make
 from pullcalc.treewalk import (
     canonical_word,
     canonicalize_arith,
@@ -294,3 +296,12 @@ def test_the_long_word_has_its_answer():
     assert (q.num, q.den) == ((N - 3) * (3 * N - 1) - N, 3 * N - 1)
     assert str(canonicalize_arith(w)) == str(canonicalize_rewrite(w))
     assert taffy_number(canonical_word(q).word) == q
+
+
+@pytest.mark.parametrize("num, den", [(1, 2**16), (2**16 + 1, 2**16)])
+def test_the_slow_inverter_keeps_no_turn(num, den):
+    # 2**16 steps of the subtractive walk, counted into runs as they come
+    q = make(num, den)
+    answer = []
+    assert peak_bytes(lambda: answer.append(canonical_word(q, "slow"))) < 2**16
+    assert answer == [canonical_word(q)]
