@@ -124,14 +124,9 @@ def effectiveness_report(word: Sequence[int]) -> List[EffectivenessRow]:
     ratio); each later ratio is total_k / total_{k-1} as an exact
     fraction.
     """
-    return trace_report(treewalk.number_trace(word))
-
-
-def trace_report(trace: Sequence[ExtRational]) -> List[EffectivenessRow]:
-    """The effectiveness report of the pull whose number_trace is given."""
     rows = [EffectivenessRow(0, 1, None)]
     previous = 1
-    for k, q in enumerate(trace[1:], start=1):
+    for k, q in enumerate(treewalk.number_trace(word)[1:], start=1):
         total = abs(q.num) + q.den
         rows.append(EffectivenessRow(k, total, ExtRational(total, previous)))
         previous = total

@@ -56,9 +56,9 @@ def _refuse_unwritable(numbers) -> None:
         raise ValueError("answer longer than %d digits" % limit)
 
 
-def _writable_trace(word, size):
-    """``number_trace`` of a Word, refused first if some entry's
-    ``size(num, den)``, a non-negative int, is too long to write.
+def _refuse_unwritable_trace(word, size) -> None:
+    """Refuse a Word if some entry of its ``number_trace`` has a
+    ``size(num, den)``, a non-negative int, too long to write.
 
     The check folds block by block and keeps no trace.  Over a block of
     equal turns, one term of an entry is fixed and the other is
@@ -68,7 +68,6 @@ def _writable_trace(word, size):
     """
     if word._len <= treewalk.TRACE_CAP:
         _refuse_unwritable(_block_end_sizes(word, size))
-    return treewalk.number_trace(word)
 
 
 def _block_end_sizes(word, size):
@@ -100,18 +99,19 @@ def _cmd_eval(args):
         reduced = words.reduce(word)
         if reduced._len > treewalk.TRACE_CAP:
             raise ValueError("reduced words are capped at %d turns" % treewalk.TRACE_CAP)
-        counts = treewalk.layer_counts(word)
+        q = treewalk.taffy_number(reduced)
         return {
             "word": args.word,
             "reduced": words.format_word(reduced),
-            "runs": list(words.to_run_form(word)),
-            "taffy_number": _frac(treewalk.taffy_number(word)),
-            "layers": {"left": counts.left, "right": counts.right},
-            "continued_fraction": list(treewalk.word_to_cf(word)),
-            "canonical": str(treewalk.canonicalize_arith(word)),
+            "runs": list(words.to_run_form(reduced)),
+            "taffy_number": _frac(q),
+            "layers": {"left": q.den, "right": abs(q.num)},
+            "continued_fraction": list(treewalk.word_to_cf(reduced)),
+            "canonical": str(treewalk.canonical_word(q)),
         }
     if args.trace:
-        trace = _writable_trace(word, lambda a, b: max(abs(a), b))
+        _refuse_unwritable_trace(word, lambda a, b: max(abs(a), b))
+        trace = treewalk.number_trace(word)
         # the empty word spells "e", which zip drops: its trace is the seed alone
         steps = ["start"] + words.format_word(word).split()
         return "\n".join("%-5s %s" % pair for pair in zip(steps, trace))
@@ -193,9 +193,10 @@ def _cmd_maxlayers(args):
 
 
 def _cmd_report(args):
+    word = words.parse_word(args.word)
     # every ratio's terms are at most the totals
-    trace = _writable_trace(words.parse_word(args.word), lambda a, b: abs(a) + b)
-    rows = analysis.trace_report(trace)
+    _refuse_unwritable_trace(word, lambda a, b: abs(a) + b)
+    rows = analysis.effectiveness_report(word)
     if args.json:
         return [
             {

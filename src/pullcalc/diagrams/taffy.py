@@ -90,8 +90,6 @@ def _assemble(units):
     key = peg_keys[0]
     idx = by_end[key][0]
     while True:
-        if used[idx]:
-            raise RuntimeError("walk revisited a unit; pattern is not a single arc")
         used[idx] = True
         pieces, ea, eb = units[idx]
         if ea == key:

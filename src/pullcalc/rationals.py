@@ -21,47 +21,44 @@ _FRACTION_RE = re.compile(r"\s*(-?)(\d+)(?:/(\d+))?\s*\Z")
 
 
 class ExtRational:
-    """An immutable fraction num/den in lowest terms, den >= 0.
+    """A fraction num/den in lowest terms, den >= 0.
 
     den == 0 encodes the point at infinity, always stored as 1/0.
-    0/0 has no home here and is rejected outright.
+    0/0 has no home here and is rejected outright.  It is built like a
+    Word: ``ExtRational(num, den)`` takes the gcd, ``_coprime`` takes a
+    pair already in lowest terms, and both store it by ``_normalize``.
+    Nothing assigns to a fraction once it is built (there is no
+    ``__setattr__`` guard, which would nearly double the cost of
+    building one).
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        if den == 0:
-            if num == 0:
-                raise ValueError("0/0 has no normal form")
-            num, den = 1, 0
-        else:
-            if den < 0:
-                num, den = -num, -den
-            g = math.gcd(num, den)
-            if g > 1:
-                num //= g
-                den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if not num and not den:
+            raise ValueError("0/0 has no normal form")
+        g = math.gcd(num, den)
+        if g > 1:
+            num //= g
+            den //= g
+        self._normalize(num, den)
 
     @classmethod
     def _coprime(cls, num: int, den: int) -> "ExtRational":
-        """num/den from a pair already in lowest terms: no gcd is taken.
+        """num/den from a pair already in lowest terms: no gcd is taken."""
+        self = object.__new__(cls)
+        self._normalize(num, den)
+        return self
 
-        Only the sign moves to the numerator and n/0 becomes 1/0; the
-        callers are unimodular steps from lowest terms.
-        """
+    def _normalize(self, num: int, den: int) -> None:
+        """Store a coprime pair with its sign on the numerator and n/0
+        as 1/0."""
         if den < 0:
             num, den = -num, -den
         elif den == 0:
             num = 1
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtRational is immutable")
+        self.num = num
+        self.den = den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtRational):

@@ -10,13 +10,14 @@ rewriting pass that never touches a fraction at all.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, NamedTuple, Sequence
 
 from pullcalc import kernel, words
 from pullcalc.rationals import ExtRational, cf_eval, cf_expand
 from pullcalc.words import L, L_INV, R, R_INV, Word
 
-TRACE_CAP = 2**16  # longest word number_trace will walk turn by turn
+TRACE_CAP = 2**16  # most steps number_trace and slow_euclid_trace list
 SLOW_CAP = 2**24  # most steps the subtractive walk of a slow canonical_word takes
 
 
@@ -116,15 +117,22 @@ def _subtractive_walk(a: int, b: int):
             a -= b
 
 
+def _walk_past(a: int, b: int, cap: int) -> bool:
+    """Does the subtractive walk from coprime a, b > 0 take more than
+    cap steps?  It takes the coefficient sum of a/b, at most a + b - 1,
+    so the coefficients are summed only when that bound is past the cap."""
+    return a + b - 1 > cap and sum(cf_expand(ExtRational._coprime(a, b))) > cap
+
+
 def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     """The unique canonical word whose taffy number is q.
 
     Both modes write the word's runs, which alternate R, L, R, ... from
     its first block, and a negative q sets the inverse bit (``| 2``) of
     every code.  ``slow`` walks the subtractive Euclidean algorithm from
-    |q| down to the seed, one turn per step, counting each run of equal
-    turns as it comes and keeping no turn; the walk's last step is
-    always R from 1/1, so its runs read backwards are the word's.
+    |q| down to the seed, one turn per step, and groups the turns into a
+    Word as they come, so it keeps only their runs; the walk's last step
+    is always R from 1/1, so its runs read backwards are the word's.
     ``fast`` expands |q| as a continued fraction, forces the expansion
     to odd length with the tail identity [..., c] = [..., c - 1, 1], and
     reads the coefficients in reverse as the runs; only the first
@@ -132,8 +140,6 @@ def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     has as many turns as the coefficients sum to.  ``fast`` costs
     O(coefficients) whatever that sum; ``slow`` takes one step per
     turn, so past SLOW_CAP turns it is refused before the walk starts.
-    The walk takes at most a + b - 1 steps from a/b, so the coefficients
-    are summed only when that bound is past the cap.
     """
     if mode not in ("fast", "slow"):
         raise ValueError("unknown mode %r" % mode)
@@ -144,16 +150,9 @@ def canonical_word(q: ExtRational, mode: str = "fast") -> CanonicalClass:
     a, b = abs(q.num), q.den
     inverse = 2 if q.num < 0 else 0
     if mode == "slow":
-        if a + b - 1 > SLOW_CAP and sum(cf_expand(ExtRational._coprime(a, b))) > SLOW_CAP:
+        if _walk_past(a, b, SLOW_CAP):
             raise ValueError("slow canonical words are capped at %d turns" % SLOW_CAP)
-        runs, last = [], None
-        for _, _, turn in _subtractive_walk(a, b):
-            if turn == last:
-                runs[-1] += 1
-            else:
-                runs.append(1)
-                last = turn
-        runs.reverse()
+        runs = Word(map(itemgetter(2), _subtractive_walk(a, b))).counts[::-1]
     else:
         coeffs = list(cf_expand(ExtRational._coprime(a, b)))
         if len(coeffs) % 2 == 0:
@@ -327,11 +326,15 @@ def slow_euclid_trace(q: ExtRational) -> List[TraceStep]:
 
     Each step records the fraction seen and whether it is a right or a
     left child of its parent; reading the directions backwards spells
-    the canonical word.  The final hop to the seed 0/1 is implicit.
+    the canonical word.  The final hop to the seed 0/1 is implicit.  The
+    list grows with every step, so a walk of more than TRACE_CAP steps is
+    refused before its first step.
     """
     if q.den == 0 or q.num <= 0:
         raise ValueError("the subtractive walk needs a positive finite fraction")
+    if _walk_past(q.num, q.den, TRACE_CAP):
+        raise ValueError("traces are capped at %d turns" % TRACE_CAP)
     return [
-        TraceStep(ExtRational(a, b), words.format_word((turn,)))
+        TraceStep(ExtRational._coprime(a, b), words.format_word((turn,)))
         for a, b, turn in _subtractive_walk(q.num, q.den)
     ]

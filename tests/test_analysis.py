@@ -36,6 +36,8 @@ def test_alternating_word_starts_with_r():
     assert alternating_word(0) == ()
     assert alternating_word(3) == parse_word("R L R")
     assert alternating_word(6) == parse_word("R L R L R L")
+    with pytest.raises(ValueError, match="^word length must be non-negative$"):
+        alternating_word(-1)
 
 
 def test_alternating_layers_values():

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, and every
 name the package defines is read somewhere; exporting a name is not
 reading it.  A public name that only tests read is on an allowlist
-with its reason.  Only ``words`` spells a turn.  Starting the CLI loads
+with its reason.  Only ``words`` spells a turn, and no module guards
+its attributes with a ``__setattr__``.  Starting the CLI loads
 no ``dataclasses``, only the drawing commands load the diagram
 modules, and only ``--json`` loads ``json``.  The package's public
 names are locked, and each resolves on first use."""
@@ -166,6 +167,39 @@ def test_only_words_spells_a_turn(module):
 
 def test_words_writes_each_alphabet_once():
     assert sorted(value for _, value in turn_spellings((SRC / "words.py").read_text())) == ["H", "L", "R", "V"]
+
+
+def attribute_guards(source: str):
+    """Lines that define a ``__setattr__`` method or call
+    ``object.__setattr__``: nothing assigns to a value once it is built,
+    so no class pays for a guard or for a way round one."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__setattr__"
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    )
+
+
+def test_the_scan_sees_an_attribute_guard():
+    source = (
+        "class A:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError(name)\n"
+        "    def _of(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n"
+        "        self.y = setattr\n"
+    )
+    assert attribute_guards(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_module_guards_its_attributes(path):
+    assert attribute_guards(path.read_text()) == []
 
 
 def loaded_modules(code: str) -> list:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pullcalc import words
 from pullcalc.analysis import cw_row
 from pullcalc.rationals import (
+    ExtRational,
     apply_turn_rule,
     cf_eval,
     cf_expand,
@@ -59,6 +61,7 @@ def test_equality_and_hashing():
     assert hash(make(4, 6)) == hash(make(2, 3))
     assert make(1, 2) != make(2, 1)
     assert len({make(1, 2), make(2, 4), make(-2, 0)}) == 2
+    assert (make(1, 2) == (1, 2)) is False  # a fraction equals no tuple
 
 
 @given(ints, ints)
@@ -70,6 +73,44 @@ def test_make_is_idempotent(a, b):
     assert (r.num, r.den) == (q.num, q.den)
     assert math.gcd(q.num, q.den) == 1
     assert q.den >= 0
+
+
+def reference_pair(n, d):
+    """The normal form by the standard library: Fraction's lowest terms,
+    and 1/0 for every zero denominator."""
+    if d == 0:
+        return 1, 0
+    f = Fraction(n, d)
+    return f.numerator, f.denominator
+
+
+BIG_PAIRS = [
+    (2**201 * 3, -(2**200) * 9),
+    (-(3**150), 2**250),
+    (7**90 * 11, 7**88 * 13),
+    (-(2**300), 0),
+    (0, -(5**100)),
+]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[(n, d) for n in range(-40, 41) for d in range(-40, 41) if n or d], BIG_PAIRS],
+    ids=["small", "big"],
+)
+def test_both_constructors_agree_with_the_reference_normal_form(pairs):
+    for n, d in pairs:
+        want = reference_pair(n, d)
+        q = ExtRational(n, d)
+        assert (q.num, q.den) == want, (n, d)
+        g = math.gcd(n, d)
+        r = ExtRational._coprime(n // g, d // g)
+        assert (r.num, r.den) == want, (n, d)
+
+
+def test_a_fraction_takes_no_new_attribute():
+    with pytest.raises(AttributeError):
+        make(1, 2).extra = 1
 
 
 # --- parsing ---------------------------------------------------------------

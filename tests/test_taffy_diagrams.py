@@ -41,6 +41,11 @@ def test_segment_intersections():
     assert piece_intersections(seg(0, 0, 4, 0), seg(2, 0, 6, 0)) == (0, True)
     # collinear, touching end to end
     assert piece_intersections(seg(0, 0, 4, 0), seg(4, 0, 9, 0)) == (1, False)
+    # a zero-length segment meets what passes through its point
+    dot = seg(1, 1, 1, 1)
+    assert piece_intersections(dot, seg(0, 0, 2, 2)) == (1, False)
+    assert piece_intersections(dot, seg(0, 0, 2, 0)) == (0, False)
+    assert piece_intersections(dot, seg(5, 5, 7, 7)) == (0, False)
 
 
 def test_segment_arc_intersections():
@@ -53,6 +58,10 @@ def test_segment_arc_intersections():
     # crossing exactly at the top pole, which both halves share
     east = HalfCircle((0.0, 0.0), 2.0, "east")
     assert piece_intersections(seg(-1, 3, 1, 1), east) == (1, False)
+    # a zero-length segment on the circle, on and off the drawn half
+    unit = HalfCircle((0.0, 0.0), 1.0, "east")
+    assert piece_intersections(seg(1, 0, 1, 0), unit) == (1, False)
+    assert piece_intersections(seg(-1, 0, -1, 0), unit) == (0, False)
 
 
 def test_arc_arc_intersections():

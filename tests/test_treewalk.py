@@ -348,6 +348,23 @@ def test_slow_euclid_trace_rejects_non_positive_input(q):
         slow_euclid_trace(q)
 
 
+def test_slow_euclid_trace_is_capped_before_its_first_step():
+    trace = slow_euclid_trace(make(1, 2**16))
+    assert len(trace) == 2**16
+    assert trace[0].fraction == make(1, 2**16) and trace[-1].fraction == make(1, 1)
+    for q in (make(1, 2**16 + 1), make(1, 10**30)):
+        with pytest.raises(ValueError, match="^traces are capped at 65536 turns$"):
+            slow_euclid_trace(q)
+
+
+def test_slow_euclid_trace_shares_the_walk_bound(monkeypatch):
+    # a + b - 1 bounds the walk; past the cap the coefficient sum decides
+    monkeypatch.setattr(treewalk, "TRACE_CAP", 10)
+    assert len(slow_euclid_trace(make(89, 55))) == 10
+    with pytest.raises(ValueError, match="^traces are capped at 10 turns$"):
+        slow_euclid_trace(make(11, 1))
+
+
 # --- long words and bounded canonical words -----------------------------------
 
 @settings(max_examples=40, deadline=None)

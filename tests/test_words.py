@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from pullcalc.cli import run
 from pullcalc.kernel import Word
 from pullcalc.rationals import digit_limit
+from pullcalc.treewalk import canonicalize_rewrite
 from pullcalc.words import (
     L,
     L_INV,
@@ -16,6 +17,7 @@ from pullcalc.words import (
     invert_word,
     parse_word,
     reduce,
+    spell_blocks,
     to_run_form,
 )
 
@@ -297,3 +299,18 @@ def test_block_reduction_cancels_across_long_blocks():
 def test_reduce_rejects_a_bad_code_in_a_long_word():
     with pytest.raises(ValueError, match="bad turn code 7"):
         reduce((R,) * 100 + (7,))
+
+
+@pytest.mark.parametrize(
+    "call, word",
+    [
+        (canonicalize_rewrite, (R, 7)),
+        (reduce, (R, 7)),
+        (to_run_form, (L, 9)),
+        (lambda word: spell_blocks(word, (1, 1)), (L, 9)),
+    ],
+    ids=["canonicalize_rewrite", "reduce", "to_run_form", "spell_blocks"],
+)
+def test_every_block_pass_rejects_a_bad_code(call, word):
+    with pytest.raises(ValueError, match="^bad turn code %d$" % word[1]):
+        call(word)
