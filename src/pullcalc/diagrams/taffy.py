@@ -11,9 +11,12 @@ homework.
 The embedding check is a Shamos-Hoey plane sweep (FOCS 1976) on the
 exact predicates of ``geometry``.  Each half circle is split at its
 equator into two x-monotone quarters; the sweep visits part ends in
-(x, y) order and hands ``piece_intersections`` only the pairs that
-meet at such a point or become neighbours in the sweep, about three
-per piece instead of every pair with overlapping boxes.
+(x, y) order and pairs only the parts that meet at such a point or
+become neighbours in the sweep, about three pairs per piece instead of
+every pair of pieces with overlapping boxes.  About half of those pairs
+have y ranges apart and pass on that alone, so ``piece_intersections``
+decides about one and a half pairs per piece.  Peg clearance likewise
+decides only the pieces whose box comes near a peg.
 """
 
 from __future__ import annotations
@@ -232,36 +235,39 @@ def rotate_taffy(d: TaffyDiagram) -> TaffyDiagram:
     return TaffyDiagram(d.pegs, strand, LayerCounts(right=d.counts.left, left=d.counts.right))
 
 
-def _crossings(pieces, line_x) -> int:
-    """Count transversal crossings of the vertical line x = line_x.
+def _crossings(pieces, *lines) -> list:
+    """Count transversal crossings of each vertical line x = c in lines.
 
-    Walk the strand pushing the sign of (x - line_x) at every sample
-    point (piece ends, plus the sideways extreme of each arc), drop
-    the zeros, and count sign flips.  Points exactly on the line thus
-    do not double-count.
+    One walk of the strand lists the x of every sample point (piece
+    ends, plus the sideways extreme of each arc).  For each line, the
+    signs of (x - c) with the zeros dropped flip once per crossing, so
+    points exactly on the line do not double-count.
     """
-    signs = []
-
-    def push(x):
-        v = (x > line_x) - (x < line_x)
-        if v and (not signs or signs[-1] != v):
-            signs.append(v)
-
+    xs = []
     for piece in pieces:
-        push(piece.start[0])
         if isinstance(piece, HalfCircle):
-            bulge = -piece.radius if piece.side == "west" else piece.radius
-            push(piece.center[0] + bulge)
-        push(piece.end[0])
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+            (cx, _), r, side, _ = piece
+            xs += (cx, cx - r if side == "west" else cx + r, cx)
+        else:
+            (x1, _), (x2, _) = piece
+            xs += (x1, x2)
+    counts = []
+    for c in lines:
+        signs = [v for v in [(x > c) - (x < c) for x in xs] if v]
+        counts.append(sum(a != b for a, b in zip(signs, signs[1:])))
+    return counts
 
 
 def _parts(pieces):
-    """The strand as x-monotone parts (start, end, piece, t, cx, cy, r).
+    """The strand as flat x-monotone parts.
 
-    start is the lexicographically smaller end.  A segment is one part
-    with t = 0 (and r = 1).  A half circle is split at its equator into an upper
-    quarter (t = -1) and a lower one (t = 1), so each quarter is the
+    A part is (start, end, i, piece, ylo, yhi, t, u, v, w, r): start is
+    the lexicographically smaller end, i the index of ``piece`` in the
+    strand, [ylo, yhi] its y range, and t, u, v, w the coefficients of
+    its side test (see ``_side``).  A segment is one part with t = 0,
+    u, v = end - start, w = u * y1 - v * x1 and r = 1.  A half circle is
+    split at its equator into an upper quarter (t = -1) and a lower one
+    (t = 1), with u, v = cx, cy and w = r * r, so each quarter is the
     graph of y = cy - t * sqrt(r*r - (x - cx)**2) and t / r is its
     signed curvature.
     """
@@ -269,37 +275,43 @@ def _parts(pieces):
     for i, piece in enumerate(pieces):
         if isinstance(piece, Segment):
             a, b = piece
-            parts.append((a, b, i, 0, 0, 0, 1) if a <= b else (b, a, i, 0, 0, 0, 1))
+            if b < a:
+                a, b = b, a
+            (x1, y1), (x2, y2) = a, b
+            u, v = x2 - x1, y2 - y1
+            ylo, yhi = (y1, y2) if v >= 0 else (y2, y1)
+            parts.append((a, b, i, piece, ylo, yhi, 0, u, v, u * y1 - v * x1, 1))
             continue
         (cx, cy), r, side, _ = piece
         equator = (cx - r if side == "west" else cx + r, cy)
+        rr = r * r
         for t in (-1, 1):
             pole = (cx, cy - t * r)
             a, b = (equator, pole) if equator < pole else (pole, equator)
-            parts.append((a, b, i, t, cx, cy, r))
+            ylo, yhi = (cy, cy + r) if t < 0 else (cy - r, cy)
+            parts.append((a, b, i, piece, ylo, yhi, t, cx, cy, rr, r))
     return parts
 
 
 def _side(part, x, y) -> int:
     """Sign of the point (x, y) against an active part: 1 above, 0 on, -1 below.
 
-    The part spans x.  An active vertical segment always holds the
-    event point, since events visit points in (x, y) order.
+    The part spans x.  A segment's test is the sign of u * y - v * x - w;
+    an active vertical segment always holds the event point, since
+    events visit points in (x, y) order, so its test reads 0 there.
     """
-    (x1, y1), (x2, y2), _, t, cx, cy, r = part
+    t = part[6]
     if t:
-        return _sign(y - cy, t, r * r - (x - cx) ** 2)
-    if x1 == x2:
-        return 0
-    v = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+        return _sign(y - part[8], t, part[9] - (x - part[7]) ** 2)
+    v = part[7] * y - part[8] * x - part[9]
     return (v > 0) - (v < 0)
 
 
 def _tangent(part):
-    (x1, y1), (x2, y2), _, t, _, cy, _ = part
+    start, _, _, _, _, _, t, u, v, _, _ = part
     if not t:
-        return x2 - x1, y2 - y1
-    return (0, -t) if y1 == cy else (1, 0)  # from the equator or from a pole
+        return u, v
+    return (0, -t) if start[1] == v else (1, 0)  # from the equator (y = cy) or from a pole
 
 
 def _leaves_below(a, b) -> int:
@@ -313,27 +325,40 @@ def _leaves_below(a, b) -> int:
     if not turn and uy * vy < 0:
         turn = vy  # (0, -1) against (0, 1)
     if not turn:
-        turn = b[3] * a[6] - a[3] * b[6]
+        turn = b[6] * a[10] - a[6] * b[10]
     return (turn < 0) - (turn > 0)
 
 
 _LEAVING_ORDER = functools.cmp_to_key(_leaves_below)
 
 
-def _clash(pieces, i, j) -> bool:
-    """Do pieces i and j touch anywhere but at their shared joint?
+def _clash(a, b) -> bool:
+    """Do the pieces of parts a and b touch anywhere but at their shared joint?
 
     A piece never clashes with itself: its two quarters share their end.
+
+    Parts whose boxes are apart pass without a test.  The sweep pairs
+    only parts that both span the event's x, so their x ranges always
+    meet and the y ranges decide.  This is sound because the sweep's
+    invariant is per part: the first contact of two parts is tested no
+    later than the sweep reaches it, and that contact lies on both
+    parts, so both parts' boxes hold it and the test is made.  Two
+    pieces that touch away from these parts touch at other parts of
+    theirs, and are caught there.
     """
+    if a[5] < b[4] or b[5] < a[4]:
+        return False
+    i, j = a[2], b[2]
     if i == j:
         return False
-    a, b = (i, j) if i < j else (j, i)
-    count, overlap = piece_intersections(pieces[a], pieces[b])
+    if j < i:
+        a, b, i, j = b, a, j, i
+    count, overlap = piece_intersections(a[3], b[3])
     if overlap:
         return True
     if count == 0:
         return False
-    return not (b == a + 1 and count == 1 and pieces[a].end == pieces[b].start)
+    return not (j == i + 1 and count == 1 and a[3].end == b[3].start)
 
 
 def _no_self_crossings(pieces) -> bool:
@@ -373,7 +398,7 @@ def _no_self_crossings(pieces) -> bool:
         new = starting.get(p, [])
         near = active[lo:top] + new
         for a, b in itertools.combinations(near, 2):
-            if _clash(pieces, a[2], b[2]):
+            if _clash(a, b):
                 return False
         # past these tests every part through p ends or starts there
         new = [part for part in new if part[1] != p]
@@ -381,38 +406,62 @@ def _no_self_crossings(pieces) -> bool:
             new.sort(key=_LEAVING_ORDER)
         active[lo:top] = new
         above = lo + len(new)
-        if 0 < lo < len(active) and _clash(pieces, active[lo - 1][2], active[lo][2]):
+        if 0 < lo < len(active) and _clash(active[lo - 1], active[lo]):
             return False
-        if new and above < len(active) and _clash(pieces, active[above - 1][2], active[above][2]):
+        if new and above < len(active) and _clash(active[above - 1], active[above]):
             return False
     return True
 
 
 def _on_grid(diagram: TaffyDiagram):
-    """Pegs, peg radius and strand scaled onto the integer grid."""
-    values = [v for peg in diagram.pegs for v in peg] + [PEG_RADIUS]
+    """Pegs, peg radius and strand scaled onto the integer grid.
+
+    A strand repeats few distinct coordinates, so each distinct value
+    is read as a ratio and scaled once, through one dict.
+    """
+    values = {PEG_RADIUS}
+    for peg in diagram.pegs:
+        values.update(peg)
     for piece in diagram.strand:
         if isinstance(piece, HalfCircle):
-            values.extend(piece.center + (piece.radius,))
+            values.update(piece.center)
+            values.add(piece.radius)
         else:
-            values.extend(piece.start + piece.end)
-    k = 2 * math.lcm(*{v.as_integer_ratio()[1] for v in values})
+            a, b = piece
+            values.update(a + b)
+    ratios = {v: v.as_integer_ratio() for v in values}
+    k = 2 * math.lcm(*{den for _, den in ratios.values()})
+    n = {v: num * (k // den) for v, (num, den) in ratios.items()}
 
-    def n(v):
-        num, den = v.as_integer_ratio()
-        return num * (k // den)
+    pegs = sorted((n[x], n[y]) for x, y in diagram.pegs)
+    pieces = []
+    for piece in diagram.strand:
+        if isinstance(piece, HalfCircle):
+            (x, y), r, side, top = piece
+            pieces.append(HalfCircle((n[x], n[y]), n[r], side, top))
+        else:
+            (x1, y1), (x2, y2) = piece
+            pieces.append(Segment((n[x1], n[y1]), (n[x2], n[y2])))
+    return pegs, n[PEG_RADIUS], pieces
 
-    def f(p):
-        return (n(p[0]), n(p[1]))
 
-    pegs = sorted(f(peg) for peg in diagram.pegs)
-    pieces = [
-        Segment(f(piece.start), f(piece.end))
-        if isinstance(piece, Segment)
-        else HalfCircle(f(piece.center), n(piece.radius), piece.side, piece.start_at_top)
-        for piece in diagram.strand
-    ]
-    return pegs, n(PEG_RADIUS), pieces
+def _clear_of_pegs(pieces, pegs, rho) -> bool:
+    """Does every piece keep at least rho from every peg?
+
+    A point of a piece closer than rho to a peg lies in the piece's
+    box, so only a piece whose box comes within rho of the peg on both
+    axes can fail, and ``comes_within`` decides just those.
+    """
+    for piece in pieces:
+        x0, y0, x1, y1 = bounding_box(piece)
+        for px, py in pegs:
+            if (
+                x0 - rho < px < x1 + rho
+                and y0 - rho < py < y1 + rho
+                and comes_within(piece, (px, py), rho)
+            ):
+                return False
+    return True
 
 
 def verify_taffy(diagram: TaffyDiagram) -> TaffyReport:
@@ -423,13 +472,16 @@ def verify_taffy(diagram: TaffyDiagram) -> TaffyReport:
     coordinates and radii (floats are dyadic, so this is exact); the
     factor 2 puts the gap lines, halfway between neighbouring pegs, on
     the integer grid too.  From there every decision is a sign test on
-    Python ints.
+    Python ints.  One walk of the strand counts both gap lines.
 
     The strand is embedded if no piece comes within the peg radius of
     a peg and two pieces touch only at the one joint of consecutive
-    pieces.  The second half is a plane sweep (see the module
-    docstring): O(n log n) sign tests narrow the pairs, and each
-    candidate pair is still decided whole by ``piece_intersections``.
+    pieces.  Both halves narrow by boxes first: ``comes_within`` sees
+    only a piece whose box comes within the peg radius of a peg, and
+    the plane sweep (see the module docstring) narrows the pairs with
+    O(n log n) sign tests and passes two parts whose y ranges are
+    apart.  Each remaining candidate is still decided whole, by
+    ``comes_within`` or ``piece_intersections``.
     """
     pegs, rho, pieces = _on_grid(diagram)
     gl = (pegs[0][0] + pegs[1][0]) // 2
@@ -439,16 +491,15 @@ def verify_taffy(diagram: TaffyDiagram) -> TaffyReport:
     is_open = bool(pieces) and pieces[0].start != pieces[-1].end
     single_arc = chained and is_open
 
-    measured = LayerCounts(right=_crossings(pieces, gr), left=_crossings(pieces, gl))
+    right, left = _crossings(pieces, gr, gl)
+    measured = LayerCounts(right=right, left=left)
 
     ends_on_pegs = bool(pieces) and all(
         any((e[0] - px) ** 2 + (e[1] - py) ** 2 == rho * rho for px, py in pegs)
         for e in (pieces[0].start, pieces[-1].end)
     )
 
-    embedded = not any(
-        comes_within(piece, peg, rho) for piece in pieces for peg in pegs
-    ) and _no_self_crossings(pieces)
+    embedded = _clear_of_pegs(pieces, pegs, rho) and _no_self_crossings(pieces)
 
     return TaffyReport(
         expected=diagram.counts,
@@ -463,6 +514,18 @@ def _fmt(v: float) -> str:
     s = "%.2f" % v
     s = s.rstrip("0").rstrip(".")
     return "0" if s in ("-0", "") else s
+
+
+class _Numbers(dict):
+    """One document's numbers as SVG text: ``_fmt`` runs once per
+    distinct value, the first time that value is looked up.  A writer
+    makes one for each document and drops it with the call."""
+
+    __slots__ = ()
+
+    def __missing__(self, v):
+        text = self[v] = _fmt(v)
+        return text
 
 
 def _svg(width: float, height: float, title: str, body: list) -> str:
@@ -487,11 +550,11 @@ def render_taffy_svg(diagram: TaffyDiagram) -> str:
         )
 
     pegs = sorted(diagram.pegs)
-    boxes = [bounding_box(p) for p in diagram.strand]
-    xmin = min(min(b[0] for b in boxes), pegs[0][0] - PEG_RADIUS)
-    xmax = max(max(b[2] for b in boxes), pegs[2][0] + PEG_RADIUS)
-    ymin = min(min(b[1] for b in boxes), -PEG_RADIUS)
-    ymax = max(max(b[3] for b in boxes), PEG_RADIUS)
+    x0s, y0s, x1s, y1s = zip(*map(bounding_box, diagram.strand))
+    xmin = min(min(x0s), pegs[0][0] - PEG_RADIUS)
+    xmax = max(max(x1s), pegs[2][0] + PEG_RADIUS)
+    ymin = min(min(y0s), -PEG_RADIUS)
+    ymax = max(max(y1s), PEG_RADIUS)
     pad = max(2.0 * STROKE_WIDTH, STRAND_GAP)
 
     def x_of(x):
@@ -506,6 +569,7 @@ def render_taffy_svg(diagram: TaffyDiagram) -> str:
     gl = (pegs[0][0] + pegs[1][0]) / 2.0
     gr = (pegs[1][0] + pegs[2][0]) / 2.0
 
+    num = _Numbers()
     parts = []
     for line_x, cls, count in (
         (gl, "gap gap-left", diagram.counts.left),
@@ -514,29 +578,29 @@ def render_taffy_svg(diagram: TaffyDiagram) -> str:
         parts.append(
             '<line class="%s" x1="%s" y1="0" x2="%s" y2="%s" stroke="#999" '
             'stroke-width="1" stroke-dasharray="4 4" data-layers="%d"/>'
-            % (cls, _fmt(x_of(line_x)), _fmt(x_of(line_x)), _fmt(height), count)
+            % (cls, num[x_of(line_x)], num[x_of(line_x)], num[height], count)
         )
 
-    d_parts = ["M %s %s" % (_fmt(x_of(diagram.strand[0].start[0])), _fmt(y_of(diagram.strand[0].start[1])))]
+    d_parts = ["M %s %s" % (num[x_of(diagram.strand[0].start[0])], num[y_of(diagram.strand[0].start[1])])]
     for piece in diagram.strand:
         ex, ey = x_of(piece.end[0]), y_of(piece.end[1])
         if isinstance(piece, Segment):
-            d_parts.append("L %s %s" % (_fmt(ex), _fmt(ey)))
+            d_parts.append("L %s %s" % (num[ex], num[ey]))
         else:
             r = piece.radius * STRAND_GAP
             # clockwise on screen: east from the top pole, west from the bottom
             sweep = int((piece.side == "east") == piece.start_at_top)
-            d_parts.append("A %s %s 0 0 %d %s %s" % (_fmt(r), _fmt(r), sweep, _fmt(ex), _fmt(ey)))
+            d_parts.append("A %s %s 0 0 %d %s %s" % (num[r], num[r], sweep, num[ex], num[ey]))
     parts.append(
         '<path class="strand" d="%s" fill="none" stroke="#b03030" '
         'stroke-width="%s" stroke-linecap="round" stroke-linejoin="round"/>'
-        % (" ".join(d_parts), _fmt(STROKE_WIDTH))
+        % (" ".join(d_parts), num[STROKE_WIDTH])
     )
 
     for px, py in pegs:
         parts.append(
             '<circle class="peg" cx="%s" cy="%s" r="%s" fill="#333"/>'
-            % (_fmt(x_of(px)), _fmt(y_of(py)), _fmt(PEG_RADIUS * STRAND_GAP))
+            % (num[x_of(px)], num[y_of(py)], num[PEG_RADIUS * STRAND_GAP])
         )
     title = "taffy pull: left %d, right %d" % (diagram.counts.left, diagram.counts.right)
     return _svg(width, height, title, parts)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from ..kernel import Word
 from ..treewalk import tangle_number
-from .taffy import STROKE_WIDTH, _fmt, _svg
+from .taffy import STROKE_WIDTH, _Numbers, _svg
 
 TANGLE_CAP = 10000  # most twists build_tangle will draw
 
@@ -113,13 +113,12 @@ def render_tangle_svg(diagram: TangleDiagram) -> str:
     strand breaks for GAP pixels at the midpoint so the over strand
     reads clearly.
     """
-    stroke = 'fill="none" stroke="#203050" stroke-width="%s" stroke-linecap="round"' % _fmt(
-        STROKE_WIDTH
-    )
+    num = _Numbers()
+    stroke = 'fill="none" stroke="#203050" stroke-width="%s" stroke-linecap="round"' % num[STROKE_WIDTH]
     pad = 2.0 * STROKE_WIDTH + 2.0
 
     def pt(p):
-        return "%s %s" % (_fmt(p[0] + pad), _fmt(p[1] + pad))
+        return "%s %s" % (num[p[0] + pad], num[p[1] + pad])
 
     def curve_path(bez, cls):
         p0, p1, p2, p3 = bez
@@ -168,7 +167,7 @@ def render_tangle_svg(diagram: TangleDiagram) -> str:
     for label, (ex, ey) in sorted(diagram.endpoints.items()):
         body.append(
             '<circle class="end" data-corner="%s" cx="%s" cy="%s" r="%s" fill="#203050"/>'
-            % (label, _fmt(ex * TILE + pad), _fmt(ey * TILE + pad), _fmt(STROKE_WIDTH * 1.5))
+            % (label, num[ex * TILE + pad], num[ey * TILE + pad], num[STROKE_WIDTH * 1.5])
         )
 
     title = "rational tangle %s" % (tangle_number(diagram.twists),)
