@@ -1,10 +1,11 @@
 """Layer growth: tree rows, extremal pulls and Fibonacci numbers.
 
-The alternating pull R L R L ... piles up layers as slowly as a
-non-cancelling pull possibly can, and that worst case is exactly the
-Fibonacci sequence.  The helpers here make the comparison concrete:
-whole tree rows, per-fraction children, closed-form and brute-force
-maxima, and step-by-step growth reports for a given pull.
+The alternating pull R L R L ... piles up layers as fast as any
+forward pull possibly can: after n turns it holds F(n+2) layers in
+all, so that extreme is exactly the Fibonacci sequence.  The helpers
+here make the comparison concrete: whole tree rows, per-fraction
+children, closed-form and brute-force maxima, and step-by-step growth
+reports for a given pull.
 """
 
 from __future__ import annotations
@@ -71,14 +72,11 @@ def cw_row(n: int) -> RowListing:
         raise ValueError("rows are numbered from 1")
     if n > DEPTH_CAP:
         raise ValueError("row %d is beyond the depth cap of %d" % (n, DEPTH_CAP))
-    row = [ExtRational(1, 1)]
+    fold = kernel.fold_turns
+    row = [(1, 1)]
     for _ in range(n - 1):
-        row = [
-            child
-            for q in row
-            for child in (apply_turn_rule(q, words.L), apply_turn_rule(q, words.R))
-        ]
-    return RowListing(depth=n, entries=tuple(row))
+        row = [child for a, b in row for child in (fold((words.L,), a, b), fold((words.R,), a, b))]
+    return RowListing(depth=n, entries=tuple(itertools.starmap(ExtRational._coprime, row)))
 
 
 def four_way_children(q: ExtRational) -> dict:
@@ -124,10 +122,12 @@ def effectiveness_report(word: Sequence[int]) -> List[EffectivenessRow]:
     ratio); each later ratio is total_k / total_{k-1} as an exact
     fraction.
     """
+    pairs = treewalk._prefix_pairs(word)
+    next(pairs)  # the seed, 0/1
     rows = [EffectivenessRow(0, 1, None)]
     previous = 1
-    for k, q in enumerate(treewalk.number_trace(word)[1:], start=1):
-        total = abs(q.num) + q.den
+    for k, (a, b) in enumerate(pairs, start=1):
+        total = abs(a) + b
         rows.append(EffectivenessRow(k, total, ExtRational(total, previous)))
         previous = total
     return rows

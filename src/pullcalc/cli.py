@@ -17,7 +17,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from . import analysis, kernel, treewalk, words
+from . import analysis, treewalk, words
 from .rationals import ExtRational, cf_expand, digit_limit, format_cf, parse_fraction
 
 
@@ -48,34 +48,20 @@ def _value_of(text: str) -> ExtRational:
     return treewalk.taffy_number(value)
 
 
-def _refuse_unwritable(numbers) -> None:
-    """Refuse an answer holding a non-negative int too long to write,
-    before any of the answer is formatted."""
-    limit = digit_limit()
-    if limit and max(numbers, default=0) >= 10**limit:
-        raise ValueError("answer longer than %d digits" % limit)
-
-
 def _refuse_unwritable_trace(word, size) -> None:
-    """Refuse a Word if some entry of its ``number_trace`` has a
+    """Refuse a word if some entry of its ``number_trace`` has a
     ``size(num, den)``, a non-negative int, too long to write.
 
-    The check folds block by block and keeps no trace.  Over a block of
-    equal turns, one term of an entry is fixed and the other is
-    |x + j*y| at step j, so the size is convex in j and largest at the
-    block's first or last turn.  A word past ``TRACE_CAP`` is left to
-    ``number_trace``, which refuses it on its turn count.
+    The check reads the trace's pairs one at a time, keeps none of them
+    and stops at the first size too long to write; the walk refuses a
+    word past ``TRACE_CAP`` on its turn count.
     """
-    if word._len <= treewalk.TRACE_CAP:
-        _refuse_unwritable(_block_end_sizes(word, size))
-
-
-def _block_end_sizes(word, size):
-    a, b = 0, 1
-    for t, k in zip(word.codes, word.counts):
-        yield size(*kernel.fold_turns((t,), a, b))
-        a, b = kernel.fold_turns(kernel.Word._of((t,), (k,)), a, b)
-        yield size(a, b)
+    limit = digit_limit()
+    if limit:
+        bound = 10**limit
+        for a, b in treewalk._prefix_pairs(word):
+            if size(a, b) >= bound:
+                raise ValueError("answer longer than %d digits" % limit)
 
 
 def _accept_negative_fractions(parser: argparse.ArgumentParser) -> None:

@@ -151,8 +151,8 @@ def render_tangle_svg(diagram: TangleDiagram) -> str:
             from_se = ((w, y0), (w, y0 + hy), (0.0, y1 - hy), (0.0, y1))
             h = y1
         over, under = (from_se, keep) if crossing.sign > 0 else (keep, from_se)
-        eps = (GAP / 2.0) / max(_mid_speed(under), 1e-9)
-        eps = min(0.3, max(0.02, eps))
+        # every mid speed is at least 96.9 px, so only the lower clamp binds
+        eps = max(0.02, (GAP / 2.0) / _mid_speed(under))
         first, _ = _split(under, 0.5 - eps)
         _, second = _split(under, 0.5 + eps)
         sign_cls = "positive" if crossing.sign > 0 else "negative"

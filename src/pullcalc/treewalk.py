@@ -10,6 +10,7 @@ rewriting pass that never touches a fraction at all.
 
 from __future__ import annotations
 
+from itertools import starmap
 from operator import itemgetter
 from typing import List, NamedTuple, Sequence
 
@@ -58,21 +59,28 @@ def taffy_number(word: Sequence[int]) -> ExtRational:
     return ExtRational._coprime(*kernel.fold_turns(word, 0, 1))
 
 
-def number_trace(word: Sequence[int]) -> List[ExtRational]:
-    """Every intermediate fraction, seed first, one entry per turn.
+def _prefix_pairs(word: Sequence[int]):
+    """The (num, den) pair of every prefix of ``word``, seed first, one
+    fold of one turn at a time, keeping none of them.
 
-    The output grows with every turn, so a word of more than TRACE_CAP
-    turns is refused, on its turn count, before any work.
+    Every per-prefix answer reads this walk, so a word of more than
+    TRACE_CAP turns is refused, on its turn count, before the first pair.
     """
     word = words.as_word(word)
     if word._len > TRACE_CAP:
         raise ValueError("traces are capped at %d turns" % TRACE_CAP)
+    fold = kernel.fold_turns
     a, b = 0, 1
-    trace = [ExtRational._coprime(a, b)]
+    yield a, b
     for t in word:
-        a, b = kernel.fold_turns((t,), a, b)
-        trace.append(ExtRational._coprime(a, b))
-    return trace
+        a, b = pair = fold((t,), a, b)
+        yield pair
+
+
+def number_trace(word: Sequence[int]) -> List[ExtRational]:
+    """Every intermediate fraction, seed first, one entry per turn: the
+    fractions of ``_prefix_pairs``, which refuses a word past TRACE_CAP."""
+    return list(starmap(ExtRational._coprime, _prefix_pairs(word)))
 
 
 def layer_counts(word: Sequence[int]) -> LayerCounts:

@@ -230,5 +230,8 @@ def as_word(word: Iterable[int]) -> Word:
 def invert_word(word: Sequence[int]) -> Word:
     """The word that undoes ``word``: reversed, each turn inverted."""
     w = as_word(word)
+    for t in w.codes:
+        if t not in (0, 1, 2, 3):
+            raise ValueError("bad turn code %r" % (t,))
     return Word._of(tuple(t ^ 2 for t in reversed(w.codes)), w.counts[::-1])
 

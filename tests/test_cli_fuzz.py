@@ -15,13 +15,16 @@ left out.
 
 import sys
 import tracemalloc
+from itertools import chain, count, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pullcalc.cli import _block_end_sizes, run
+from pullcalc.analysis import alternating_word
+from pullcalc.cli import run
 from pullcalc.kernel import Word
 from pullcalc.treewalk import number_trace
+from pullcalc.words import L, R, invert_word, spell_blocks
 
 JUNK = ["e", "Q", "^", "R^", "^-", "0", "-", "R^x", "L^+"]
 
@@ -115,19 +118,59 @@ def test_a_23_digit_exponent_has_its_answer():
     assert run(["invert", str(k)]) == (0, "R^%d\n" % k, "")
 
 
-block_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), max_size=12)
+# Under a 640-digit limit, the size of a trace entry that each command
+# writes must stay under 10**640.
+BOUND = 10**640
+SIZES = {"eval": lambda a, b: max(abs(a), b), "report": lambda a, b: abs(a) + b}
 
 
-@settings(max_examples=200, deadline=None)
-@given(block_lists)
-def test_the_block_ends_bound_every_trace_entry(blocks):
-    """The size of a trace's entries peaks at a block's first or last turn."""
-    word = Word(t for t, k in blocks for _ in range(k))
-    entries = number_trace(word)[1:]
-    for size in (lambda a, b: max(abs(a), b), lambda a, b: abs(a) + b):
-        assert max(_block_end_sizes(word, size), default=0) == max(
-            (size(q.num, q.den) for q in entries), default=0
-        )
+def climbs_and_undoes():
+    """Words that climb to just under or just over BOUND and then undo
+    themselves, so that every answer ends at 0/1: alternating pulls,
+    and alternating pulls with a run of R or L at the top whose entries
+    reach BOUND inside the run."""
+    trace = [(q.num, q.den) for q in number_trace(alternating_word(3100))]
+    first = {name: next(k for k, pair in enumerate(trace) if size(*pair) >= BOUND) for name, size in SIZES.items()}
+    climbs = [alternating_word(n) for n in (first["report"] - 1, first["report"], first["eval"])]
+    for name, turn in (("eval", R), ("report", L)):
+        m = first[name] - 10
+        a, b = trace[m]
+        entry = (lambda j: (a + j * b, b)) if turn == R else (lambda j: (a, b + j * a))
+        j = next(j for j in count(1) if SIZES[name](*entry(j)) >= BOUND)
+        climbs += [Word(chain(alternating_word(m), repeat(turn, k))) for k in (j - 1, j + 40)]
+    return [Word(chain(w, invert_word(w))) for w in climbs]
+
+
+def test_a_trace_is_refused_exactly_when_an_entry_is_too_long_to_write():
+    """``eval --trace`` refuses when some entry of ``number_trace`` has
+    ``max(|num|, den)`` of at least BOUND, ``report`` when one has
+    ``|num| + den`` that large, and both answer otherwise."""
+    refusals = []
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for word in climbs_and_undoes():
+            text = spell_blocks(word.codes, word.counts)
+            trace = number_trace(word)
+            refused = []
+            for name, argv in (("eval", ["eval", text, "--trace"]), ("report", ["report", text])):
+                result = run(argv)
+                if any(SIZES[name](q.num, q.den) >= BOUND for q in trace):
+                    assert result == (1, "", "pullcalc: answer longer than 640 digits\n"), (name, word.counts)
+                else:
+                    assert (result.exit_code, result.stderr) == (0, ""), (name, word.counts)
+                    assert result.stdout.count("\n") == len(trace)
+                refused.append(result.exit_code == 1)
+            refusals.append(tuple(refused))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # (eval, report) per word: each command answers and refuses, and two
+    # words are written by eval but not by report
+    assert refusals == [
+        (False, False), (False, True), (True, True),
+        (False, True), (True, True),
+        (False, False), (True, True),
+    ]
 
 
 @pytest.mark.parametrize("command", [["eval", "--trace"], ["report"]])

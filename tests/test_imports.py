@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, and every
 name the package defines is read somewhere; exporting a name is not
 reading it.  A public name that only tests read is on an allowlist
-with its reason.  Only ``words`` spells a turn, and no module guards
-its attributes with a ``__setattr__``.  Starting the CLI loads
+with its reason.  Only ``words`` spells a turn, only the algebra
+modules fold a word, and no module guards its attributes with a
+``__setattr__``.  Starting the CLI loads
 no ``dataclasses``, only the drawing commands load the diagram
 modules, and only ``--json`` loads ``json``.  The package's public
 names are locked, and each resolves on first use."""
@@ -167,6 +168,39 @@ def test_only_words_spells_a_turn(module):
 
 def test_words_writes_each_alphabet_once():
     assert sorted(value for _, value in turn_spellings((SRC / "words.py").read_text())) == ["H", "L", "R", "V"]
+
+
+def fold_readers(sources: dict):
+    """The labels of the sources that define or read ``fold_turns``: as
+    a definition, a name, an attribute or an imported name."""
+    return sorted(
+        label
+        for label, source in sources.items()
+        if any(
+            isinstance(node, ast.FunctionDef) and node.name == "fold_turns"
+            or isinstance(node, ast.Name) and node.id == "fold_turns"
+            or isinstance(node, ast.Attribute) and node.attr == "fold_turns"
+            or isinstance(node, ast.ImportFrom) and any(a.name == "fold_turns" for a in node.names)
+            for node in ast.walk(ast.parse(source))
+        )
+    )
+
+
+def test_the_scan_sees_a_fold():
+    sources = {
+        "a.py": "from k import fold_turns as f\n",
+        "b.py": "import k\nk.fold_turns(w)\n",
+        "c.py": "def fold_turns(w): pass\n",
+        "d.py": '"""fold_turns"""\nfold = k.fold\n',
+    }
+    assert fold_readers(sources) == ["a.py", "b.py", "c.py"]
+
+
+def test_only_the_algebra_folds_a_word():
+    """The CLI and the diagram modules never fold a word: every
+    per-prefix answer reads treewalk's walk over the prefixes."""
+    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert fold_readers(sources) == ["analysis.py", "kernel.py", "rationals.py", "treewalk.py"]
 
 
 def attribute_guards(source: str):

@@ -308,8 +308,9 @@ def test_reduce_rejects_a_bad_code_in_a_long_word():
         (reduce, (R, 7)),
         (to_run_form, (L, 9)),
         (lambda word: spell_blocks(word, (1, 1)), (L, 9)),
+        (invert_word, (R, 7)),
     ],
-    ids=["canonicalize_rewrite", "reduce", "to_run_form", "spell_blocks"],
+    ids=["canonicalize_rewrite", "reduce", "to_run_form", "spell_blocks", "invert_word"],
 )
 def test_every_block_pass_rejects_a_bad_code(call, word):
     with pytest.raises(ValueError, match="^bad turn code %d$" % word[1]):
