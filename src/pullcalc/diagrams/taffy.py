@@ -539,8 +539,9 @@ def _svg(width: float, height: float, title: str, body: list) -> str:
 def render_taffy_svg(diagram: TaffyDiagram) -> str:
     """Draw a verified diagram as a standalone SVG document.
 
-    One model unit is STRAND_GAP pixels.  Refuses diagrams that do not
-    pass verification.
+    One model unit is STRAND_GAP pixels, and the frame holds the box of
+    every piece and every peg, so a moved diagram draws the same SVG.
+    Refuses diagrams that do not pass verification.
     """
     report = verify_taffy(diagram)
     if not report.passes:
@@ -550,11 +551,9 @@ def render_taffy_svg(diagram: TaffyDiagram) -> str:
         )
 
     pegs = sorted(diagram.pegs)
-    x0s, y0s, x1s, y1s = zip(*map(bounding_box, diagram.strand))
-    xmin = min(min(x0s), pegs[0][0] - PEG_RADIUS)
-    xmax = max(max(x1s), pegs[2][0] + PEG_RADIUS)
-    ymin = min(min(y0s), -PEG_RADIUS)
-    ymax = max(max(y1s), PEG_RADIUS)
+    peg_boxes = [(px - PEG_RADIUS, py - PEG_RADIUS, px + PEG_RADIUS, py + PEG_RADIUS) for px, py in pegs]
+    x0s, y0s, x1s, y1s = zip(*map(bounding_box, diagram.strand), *peg_boxes)
+    xmin, ymin, xmax, ymax = min(x0s), min(y0s), max(x1s), max(y1s)
     pad = max(2.0 * STROKE_WIDTH, STRAND_GAP)
 
     def x_of(x):

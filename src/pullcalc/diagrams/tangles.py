@@ -98,20 +98,15 @@ def _split(bez, t):
     return (p0, a, d, f), (f, e, c, p3)
 
 
-def _mid_speed(bez) -> float:
-    p0, p1, p2, p3 = bez
-    dx = 0.75 * (p1[0] - p0[0]) + 1.5 * (p2[0] - p1[0]) + 0.75 * (p3[0] - p2[0])
-    dy = 0.75 * (p1[1] - p0[1]) + 1.5 * (p2[1] - p1[1]) + 0.75 * (p3[1] - p2[1])
-    return (dx * dx + dy * dy) ** 0.5
-
-
 def render_tangle_svg(diagram: TangleDiagram) -> str:
     """Standalone SVG for a tangle diagram.
 
     Each crossing lives in its own TILE-sized tile (a new column on the
     right or a new row along the bottom) as two cubic curves; the under
     strand breaks for GAP pixels at the midpoint so the over strand
-    reads clearly.
+    reads clearly.  Columns and rows draw one template in (along,
+    across) points, across the strand pair at 0 and span: a right-side
+    twist writes them as (x, y), a bottom-side twist as (y, x).
     """
     num = _Numbers()
     stroke = 'fill="none" stroke="#203050" stroke-width="%s" stroke-linecap="round"' % num[STROKE_WIDTH]
@@ -120,14 +115,17 @@ def render_tangle_svg(diagram: TangleDiagram) -> str:
     def pt(p):
         return "%s %s" % (num[p[0] + pad], num[p[1] + pad])
 
-    def curve_path(bez, cls):
+    def pt_swapped(p):
+        return "%s %s" % (num[p[1] + pad], num[p[0] + pad])
+
+    def curve_path(bez, cls, write):
         p0, p1, p2, p3 = bez
         return '<path class="%s" d="M %s C %s, %s, %s" %s/>' % (
             cls,
-            pt(p0),
-            pt(p1),
-            pt(p2),
-            pt(p3),
+            write(p0),
+            write(p1),
+            write(p2),
+            write(p3),
             stroke,
         )
 
@@ -137,31 +135,30 @@ def render_tangle_svg(diagram: TangleDiagram) -> str:
         '<path class="strand" d="M %s L %s" %s/>' % (pt((0.0, TILE)), pt((TILE, TILE)), stroke),
     ]
 
+    hd = _HANDLE * TILE
+    along = 1.5 * (TILE - hd)  # the template's speed along at t = 1/2; across it is 1.5 * span
     for crossing in diagram.crossings:
         if crossing.position == "right-side":
-            x0, x1 = w, w + TILE
-            hx = _HANDLE * TILE
-            keep = ((x0, 0.0), (x0 + hx, 0.0), (x1 - hx, h), (x1, h))
-            from_se = ((x0, h), (x0 + hx, h), (x1 - hx, 0.0), (x1, 0.0))
-            w = x1
+            a0, span, write = w, h, pt
+            w += TILE
         else:
-            y0, y1 = h, h + TILE
-            hy = _HANDLE * TILE
-            keep = ((0.0, y0), (0.0, y0 + hy), (w, y1 - hy), (w, y1))
-            from_se = ((w, y0), (w, y0 + hy), (0.0, y1 - hy), (0.0, y1))
-            h = y1
+            a0, span, write = h, w, pt_swapped
+            h += TILE
+        a1 = a0 + TILE
+        keep = ((a0, 0.0), (a0 + hd, 0.0), (a1 - hd, span), (a1, span))
+        from_se = ((a0, span), (a0 + hd, span), (a1 - hd, 0.0), (a1, 0.0))
         over, under = (from_se, keep) if crossing.sign > 0 else (keep, from_se)
         # every mid speed is at least 96.9 px, so only the lower clamp binds
-        eps = max(0.02, (GAP / 2.0) / _mid_speed(under))
+        eps = max(0.02, (GAP / 2.0) / (along * along + 2.25 * span * span) ** 0.5)
         first, _ = _split(under, 0.5 - eps)
         _, second = _split(under, 0.5 + eps)
         sign_cls = "positive" if crossing.sign > 0 else "negative"
         body.append(
             '<g class="crossing %s %s" data-sign="%d">' % (sign_cls, crossing.position, crossing.sign)
         )
-        body.append(curve_path(first, "under"))
-        body.append(curve_path(second, "under"))
-        body.append(curve_path(over, "over"))
+        body.append(curve_path(first, "under", write))
+        body.append(curve_path(second, "under", write))
+        body.append(curve_path(over, "over", write))
         body.append("</g>")
 
     for label, (ex, ey) in sorted(diagram.endpoints.items()):

@@ -176,9 +176,9 @@ def test_a_trace_is_refused_exactly_when_an_entry_is_too_long_to_write():
 @pytest.mark.parametrize("command", [["eval", "--trace"], ["report"]])
 def test_a_trace_that_climbs_past_the_digit_limit_and_back_is_refused_at_once(command):
     # Under Python's least digit limit, 640, 6,000 alternating turns
-    # climb past it and their inverse comes back to 0/1: refused from
-    # the blocks, with no trace built (the whole trace would take about
-    # 4.5 MB).
+    # climb past it and their inverse comes back to 0/1: the prefix walk
+    # refuses the word at the first entry too long to write, with no
+    # trace built (the whole trace would take about 4.5 MB).
     text = "R L " * 3000 + "l r " * 3000
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)

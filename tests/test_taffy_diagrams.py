@@ -391,6 +391,26 @@ def test_render_taffy_svg_is_deterministic():
     assert render_taffy_svg(d) == render_taffy_svg(d)
 
 
+def moved(d, dx, dy):
+    def move(p):
+        return (p[0] + dx, p[1] + dy)
+
+    strand = tuple(
+        Segment(move(p.start), move(p.end)) if isinstance(p, Segment) else p._replace(center=move(p.center))
+        for p in d.strand
+    )
+    return TaffyDiagram(tuple(map(move, d.pegs)), strand, d.counts)
+
+
+@pytest.mark.parametrize("num,den", [(0, 1), (1, 0), (1, 1), (-2, 3), (8, 13), (-13, 8)])
+def test_a_moved_taffy_diagram_draws_the_same_svg(num, den):
+    # the frame holds every piece and every peg wherever they lie
+    d = build_taffy(make(num, den))
+    svg = render_taffy_svg(d)
+    for dx, dy in ((0, 100), (0, -100), (-250, 0), (37.5, -12.5)):
+        assert render_taffy_svg(moved(d, dx, dy)) == svg, (dx, dy)
+
+
 def test_render_taffy_svg_refuses_a_bad_diagram():
     bad = hand_diagram([seg(0.5, 0, 3, 0), seg(4, 1, 7.5, 0)], LayerCounts(right=0, left=1))
     with pytest.raises(ValueError):

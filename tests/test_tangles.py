@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
+from pullcalc.diagrams.taffy import STROKE_WIDTH
 from pullcalc.diagrams.tangles import (
     TANGLE_CAP,
     Crossing,
@@ -154,3 +157,48 @@ def test_render_tangle_svg_under_strand_is_split():
     group = svg[svg.index('<g class="crossing') :]
     group = group[: group.index("</g>")]
     assert group.count("<path") == 3
+
+
+def test_every_short_tangle_draws_as_locked():
+    # all 341 words of 0 to 4 twists, in itertools.product order: both
+    # directions, both signs, and both under-strand gaps (across a span
+    # of one tile the gap is GAP pixels, across a wider one the clamped
+    # 0.04 of the curve's parameter)
+    digest = hashlib.sha256()
+    for n in range(5):
+        for twists in itertools.product(range(4), repeat=n):
+            digest.update(render_tangle_svg(build_tangle(twists)).encode("utf-8"))
+    assert digest.hexdigest() == "e506e8861d6dd937c9ba03ad3e33dacace72b51f6c1407dbed731d9be280a11f"
+
+
+_CROSSING = re.compile(r'<g class="crossing (\w+) ([\w-]+)" data-sign="(-?1)">\n(.*?)\n</g>', re.S)
+_CURVE = re.compile(r'<path class="(\w+)" d="M ([^"]*)"')
+
+
+def drawn_crossings(svg, pad=2.0 * STROKE_WIDTH + 2.0):
+    """(sign class, position, sign, curves) per crossing group, where a
+    curve is its class and its four points with the pad taken off."""
+    return [
+        (sign_cls, position, int(sign), [
+            (cls, [tuple(float(v) - pad for v in p.split()) for p in d.replace(" C ", ", ").split(", ")])
+            for cls, d in _CURVE.findall(paths)
+        ])
+        for sign_cls, position, sign, paths in _CROSSING.findall(svg)
+    ]
+
+
+def test_flipping_every_twist_transposes_the_drawing():
+    # V <-> H and V^-1 <-> H^-1 (t ^ 1): each crossing keeps its sign,
+    # moves to the other side, and its curves swap x and y
+    other = {"right-side": "bottom-side", "bottom-side": "right-side"}
+    rng = random.Random(21)
+    for n in [*range(1, 12), 50, 300]:
+        for _ in range(20):
+            twists = tuple(rng.randrange(4) for _ in range(n))
+            first = drawn_crossings(render_tangle_svg(build_tangle(twists)))
+            second = drawn_crossings(render_tangle_svg(build_tangle(t ^ 1 for t in twists)))
+            assert len(first) == len(second) == n
+            for (sign_cls, position, sign, curves), flipped in zip(first, second):
+                assert flipped == (sign_cls, other[position], sign, [
+                    (cls, [(y, x) for x, y in points]) for cls, points in curves
+                ])

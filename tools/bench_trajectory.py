@@ -12,13 +12,16 @@ lists, once at ``--trace 0`` (end-to-end metrics) and once at
 test suite once and records its wall time, its summary line and its ten
 slowest tests (``--durations=10``).  It writes both output lines of
 every benchmark run (the ``# `` line of raw figures and the JSON
-result), the tier-1 record, the machine it ran on and the git revision
-to BENCH_<n>.json at the root of the checkout.  It exits 1 if any run
+result), the tier-1 record, the size of the package (``src_lines``: the
+line count of every ``src/pullcalc/**/*.py`` file, as ``wc -l`` counts
+them, and their total), the machine it ran on and the git revision to
+BENCH_<n>.json at the root of the checkout.  It exits 1 if any run
 gives no result line or the tier-1 suite fails.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import platform
@@ -77,6 +80,17 @@ def run(command, workload: str, seconds, trace: int) -> dict:
     return record
 
 
+def src_lines() -> dict:
+    """Newlines in every ``src/pullcalc/**/*.py`` file, by path from
+    the root of the checkout, and their total."""
+    files = {}
+    pattern = os.path.join(ROOT, "src", "pullcalc", "**", "*.py")
+    for path in sorted(glob.glob(pattern, recursive=True)):
+        with open(path, "rb") as handle:
+            files[os.path.relpath(path, ROOT).replace(os.sep, "/")] = handle.read().count(b"\n")
+    return {"files": files, "total": sum(files.values())}
+
+
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
 _DURATION = re.compile(r"([0-9.]+)s (setup|call|teardown) +(\S+)")
 
@@ -126,6 +140,7 @@ def main(argv) -> int:
         "run_seconds": spec["run_seconds"],
         "runs": runs,
         "tier1": tests,
+        "src_lines": src_lines(),
     }
     path = os.path.join(ROOT, "BENCH_%s.json" % argv[0])
     with open(path, "w", encoding="utf-8") as handle:
