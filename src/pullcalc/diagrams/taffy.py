@@ -11,8 +11,9 @@ homework.
 The embedding check is a Shamos-Hoey plane sweep (FOCS 1976) on the
 exact predicates of ``geometry``.  Each half circle is split at its
 equator into two x-monotone quarters; the sweep visits part ends in
-(x, y) order and pairs only the parts that meet at such a point or
-become neighbours in the sweep, about three pairs per piece instead of
+(x, y) order, orders the parts it holds by one exact side test alone,
+and pairs only the parts that meet at such a point or become
+neighbours in the sweep, about three pairs per piece instead of
 every pair of pieces with overlapping boxes.  About half of those pairs
 have y ranges apart and pass on that alone, so ``piece_intersections``
 decides about one and a half pairs per piece.  Peg clearance likewise
@@ -21,7 +22,6 @@ decides only the pieces whose box comes near a peg.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -261,15 +261,14 @@ def _crossings(pieces, *lines) -> list:
 def _parts(pieces):
     """The strand as flat x-monotone parts.
 
-    A part is (start, end, i, piece, ylo, yhi, t, u, v, w, r): start is
+    A part is (start, end, i, piece, ylo, yhi, t, u, v, w): start is
     the lexicographically smaller end, i the index of ``piece`` in the
     strand, [ylo, yhi] its y range, and t, u, v, w the coefficients of
     its side test (see ``_side``).  A segment is one part with t = 0,
-    u, v = end - start, w = u * y1 - v * x1 and r = 1.  A half circle is
-    split at its equator into an upper quarter (t = -1) and a lower one
+    u, v = end - start and w = u * y1 - v * x1.  A half circle is split
+    at its equator into an upper quarter (t = -1) and a lower one
     (t = 1), with u, v = cx, cy and w = r * r, so each quarter is the
-    graph of y = cy - t * sqrt(r*r - (x - cx)**2) and t / r is its
-    signed curvature.
+    graph of y = cy - t * sqrt(r*r - (x - cx)**2).
     """
     parts = []
     for i, piece in enumerate(pieces):
@@ -280,7 +279,7 @@ def _parts(pieces):
             (x1, y1), (x2, y2) = a, b
             u, v = x2 - x1, y2 - y1
             ylo, yhi = (y1, y2) if v >= 0 else (y2, y1)
-            parts.append((a, b, i, piece, ylo, yhi, 0, u, v, u * y1 - v * x1, 1))
+            parts.append((a, b, i, piece, ylo, yhi, 0, u, v, u * y1 - v * x1))
             continue
         (cx, cy), r, side, _ = piece
         equator = (cx - r if side == "west" else cx + r, cy)
@@ -289,7 +288,7 @@ def _parts(pieces):
             pole = (cx, cy - t * r)
             a, b = (equator, pole) if equator < pole else (pole, equator)
             ylo, yhi = (cy, cy + r) if t < 0 else (cy - r, cy)
-            parts.append((a, b, i, piece, ylo, yhi, t, cx, cy, rr, r))
+            parts.append((a, b, i, piece, ylo, yhi, t, cx, cy, rr))
     return parts
 
 
@@ -307,35 +306,11 @@ def _side(part, x, y) -> int:
     return (v > 0) - (v < 0)
 
 
-def _tangent(part):
-    start, _, _, _, _, _, t, u, v, _, _ = part
-    if not t:
-        return u, v
-    return (0, -t) if start[1] == v else (1, 0)  # from the equator (y = cy) or from a pole
-
-
-def _leaves_below(a, b) -> int:
-    """Order two parts just after their common start: -1 if a runs below b.
-
-    Directions compare by cross product, with (0, 1) the highest and
-    (0, -1) the lowest; equal directions compare by signed curvature.
-    """
-    (ux, uy), (vx, vy) = _tangent(a), _tangent(b)
-    turn = ux * vy - uy * vx
-    if not turn and uy * vy < 0:
-        turn = vy  # (0, -1) against (0, 1)
-    if not turn:
-        turn = b[6] * a[10] - a[6] * b[10]
-    return (turn < 0) - (turn > 0)
-
-
-_LEAVING_ORDER = functools.cmp_to_key(_leaves_below)
-
-
 def _clash(a, b) -> bool:
     """Do the pieces of parts a and b touch anywhere but at their shared joint?
 
-    A piece never clashes with itself: its two quarters share their end.
+    A piece never clashes with itself: its two quarters meet only at
+    its equator.
 
     Parts whose boxes are apart pass without a test.  The sweep pairs
     only parts that both span the event's x, so their x ranges always
@@ -374,6 +349,13 @@ def _no_self_crossings(pieces) -> bool:
     adjacent is tested.  The first contact that is not a joint is thus
     tested no later than the sweep reaches it, before the order could
     go wrong.
+
+    Once the pairs through p pass, at most two parts leave p: one of
+    each of two consecutive pieces at their joint, or the two quarters
+    of a west half circle at its equator.  Either way the two meet
+    nowhere but p, so the end of the part that ends first lies strictly
+    above or below the other part, which spans its x, and one side test
+    orders them.  Every order the sweep keeps thus comes from ``_side``.
     """
     parts = _parts(pieces)
     starting = {}
@@ -403,7 +385,8 @@ def _no_self_crossings(pieces) -> bool:
         # past these tests every part through p ends or starts there
         new = [part for part in new if part[1] != p]
         if len(new) > 1:
-            new.sort(key=_LEAVING_ORDER)
+            a, b = sorted(new)  # one start, so the part that ends first is a
+            new = [b, a] if _side(b, *a[1]) > 0 else [a, b]
         active[lo:top] = new
         above = lo + len(new)
         if 0 < lo < len(active) and _clash(active[lo - 1], active[lo]):

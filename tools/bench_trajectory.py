@@ -12,10 +12,11 @@ lists, once at ``--trace 0`` (end-to-end metrics) and once at
 test suite once and records its wall time, its summary line and its ten
 slowest tests (``--durations=10``).  It writes both output lines of
 every benchmark run (the ``# `` line of raw figures and the JSON
-result), the tier-1 record, the size of the package (``src_lines``: the
-line count of every ``src/pullcalc/**/*.py`` file, as ``wc -l`` counts
-them, and their total), the machine it ran on and the git revision to
-BENCH_<n>.json at the root of the checkout.  It exits 1 if any run
+result), the tier-1 record, the size of the package and of its tests
+(``src_lines`` and ``test_lines``: the line count of every
+``src/pullcalc/**/*.py`` and every ``tests/**/*.py`` file, as ``wc -l``
+counts them, and their totals), the machine it ran on and the git
+revision to BENCH_<n>.json at the root of the checkout.  It exits 1 if any run
 gives no result line or the tier-1 suite fails.
 """
 
@@ -80,11 +81,11 @@ def run(command, workload: str, seconds, trace: int) -> dict:
     return record
 
 
-def src_lines() -> dict:
-    """Newlines in every ``src/pullcalc/**/*.py`` file, by path from
-    the root of the checkout, and their total."""
+def line_counts(directory: str) -> dict:
+    """Newlines in every ``<directory>/**/*.py`` file, by path from the
+    root of the checkout, and their total."""
     files = {}
-    pattern = os.path.join(ROOT, "src", "pullcalc", "**", "*.py")
+    pattern = os.path.join(ROOT, directory, "**", "*.py")
     for path in sorted(glob.glob(pattern, recursive=True)):
         with open(path, "rb") as handle:
             files[os.path.relpath(path, ROOT).replace(os.sep, "/")] = handle.read().count(b"\n")
@@ -140,7 +141,8 @@ def main(argv) -> int:
         "run_seconds": spec["run_seconds"],
         "runs": runs,
         "tier1": tests,
-        "src_lines": src_lines(),
+        "src_lines": line_counts("src/pullcalc"),
+        "test_lines": line_counts("tests"),
     }
     path = os.path.join(ROOT, "BENCH_%s.json" % argv[0])
     with open(path, "w", encoding="utf-8") as handle:
