@@ -13,11 +13,13 @@ exact predicates of ``geometry``.  Each half circle is split at its
 equator into two x-monotone quarters; the sweep visits part ends in
 (x, y) order, orders the parts it holds by one exact side test alone,
 and pairs only the parts that meet at such a point or become
-neighbours in the sweep, about three pairs per piece instead of
-every pair of pieces with overlapping boxes.  About half of those pairs
-have y ranges apart and pass on that alone, so ``piece_intersections``
-decides about one and a half pairs per piece.  Peg clearance likewise
-decides only the pieces whose box comes near a peg.
+neighbours in the sweep, less than two and a half pairs per piece
+instead of every pair of pieces with overlapping boxes; the two parts
+that meet at a joint are not paired.  Most of those pairs have y ranges
+apart and pass on that alone, so ``piece_intersections`` decides about
+three pairs in four pieces (1,965 for the 2,583 pieces of 233/377).
+Peg clearance likewise decides only the pieces whose box comes near a
+peg.
 """
 
 from __future__ import annotations
@@ -344,13 +346,21 @@ def _no_self_crossings(pieces) -> bool:
     shears the sweep so that a vertical runs from its lower end to its
     upper end.  ``active`` holds the parts that cross the sweep, bottom
     to top.  At each event every pair among the parts through the
-    point and the parts that start there is tested, the ending parts
-    make way for the starting ones, and each pair that becomes
-    adjacent is tested.  The first contact that is not a joint is thus
-    tested no later than the sweep reaches it, before the order could
-    go wrong.
+    point and the parts that start there is tested but one kind, the
+    ending parts make way for the starting ones, and each pair that
+    becomes adjacent is tested.  The first contact that is not a joint
+    is thus tested no later than the sweep reaches it, before the order
+    could go wrong.
 
-    Once the pairs through p pass, at most two parts leave p: one of
+    The pair not tested is a part through p that ends there and a part
+    that starts there, of pieces i and i + 1 whose joint is p.  The
+    first lies in x <= p.x and the second in x >= p.x.  Each is
+    x-monotone, so on the line x = p.x the first holds p or a vertical
+    up to p, the second p or a vertical up from p.  The two meet only
+    at p, the legal joint.  Any other contact of the two pieces lies on
+    another pair of their parts, and that pair is tested.
+
+    Once the pairs at p pass, at most two parts leave p: one of
     each of two consecutive pieces at their joint, or the two quarters
     of a west half circle at its equator.  Either way the two meet
     nowhere but p, so the end of the part that ends first lies strictly
@@ -378,8 +388,11 @@ def _no_self_crossings(pieces) -> bool:
         while top < len(active) and _side(active[top], x, y) == 0:
             top += 1
         new = starting.get(p, [])
-        near = active[lo:top] + new
-        for a, b in itertools.combinations(near, 2):
+        for a, b in itertools.combinations(active[lo:top] + new, 2):
+            if a[1] == p != a[0] and b[0] == p:  # a ends at p, b starts there
+                i, j = sorted((a[2], b[2]))
+                if j == i + 1 and pieces[i].end == p == pieces[j].start:
+                    continue
             if _clash(a, b):
                 return False
         # past these tests every part through p ends or starts there
@@ -400,7 +413,10 @@ def _on_grid(diagram: TaffyDiagram):
     """Pegs, peg radius and strand scaled onto the integer grid.
 
     A strand repeats few distinct coordinates, so each distinct value
-    is read as a ratio and scaled once, through one dict.
+    is read as a ratio and scaled once, through one dict.  The copies
+    are built as bare records, without ``HalfCircle``'s side and radius
+    checks: their sources passed them, and scaling by k > 0 keeps the
+    side and a positive radius.
     """
     values = {PEG_RADIUS}
     for peg in diagram.pegs:
@@ -417,14 +433,15 @@ def _on_grid(diagram: TaffyDiagram):
     n = {v: num * (k // den) for v, (num, den) in ratios.items()}
 
     pegs = sorted((n[x], n[y]) for x, y in diagram.pegs)
+    record = tuple.__new__
     pieces = []
     for piece in diagram.strand:
         if isinstance(piece, HalfCircle):
             (x, y), r, side, top = piece
-            pieces.append(HalfCircle((n[x], n[y]), n[r], side, top))
+            pieces.append(record(HalfCircle, ((n[x], n[y]), n[r], side, top)))
         else:
             (x1, y1), (x2, y2) = piece
-            pieces.append(Segment((n[x1], n[y1]), (n[x2], n[y2])))
+            pieces.append(record(Segment, ((n[x1], n[y1]), (n[x2], n[y2]))))
     return pegs, n[PEG_RADIUS], pieces
 
 

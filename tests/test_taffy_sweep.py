@@ -12,7 +12,8 @@ A longer differential run than the tier-1 one:
     PYTHONPATH=src python tests/test_taffy_sweep.py 20000 5000
 
 checks that many quarter-grid strands and mutations and prints how
-many of each the reference finds embedded.
+many of each the reference finds embedded.  Both are drawn the same on
+every run, so the counts repeat.
 """
 
 import math
@@ -259,7 +260,7 @@ if __name__ == "__main__":
     strands, mutations = (int(a) for a in sys.argv[1:3])
     embedded = []
 
-    @settings(max_examples=strands, deadline=None, database=None)
+    @settings(max_examples=strands, deadline=None, database=None, derandomize=True)
     @given(quarter_grid_diagrams())
     def check_strands(d):
         embedded.append(agreed_verdict(d))
