@@ -8,15 +8,18 @@ beside the fold, because the fold is what reads its blocks.
 
 R sends a/b to (a+b)/b, L sends it to a/(a+b), and the reverse turns
 subtract instead.  This module is the only place those rules are
-written out; every other fold in the package goes through
-``fold_turns``.
+written out, in two loops; nothing outside it applies a rule, and
+every fold in the package goes through one of them.
 
-The rules are applied per block of equal turns: ``R^k`` sends a/b to
-(a+k*b)/b and ``L^k`` sends it to a/(k*a+b), and each block is one
-unimodular step.  A ``Word`` gives one block per run and any other
-sequence one block per turn.  Seeds are assumed to be in lowest terms;
-a unimodular step preserves the gcd, so the results are in lowest
-terms too, with no gcd taken anywhere.
+``fold_turns`` is the block fold: it applies the rules per block of
+equal turns, ``R^k`` sending a/b to (a+k*b)/b and ``L^k`` sending it to
+a/(k*a+b), each block one unimodular step, and returns only the end.
+``fold_prefixes`` is the per-turn prefix walk: it must show every
+prefix, so it applies the rules one turn at a time and yields the pair
+after each.  A ``Word`` gives one block per run and any other sequence
+one block per turn.  Seeds are assumed to be in lowest terms; a
+unimodular step preserves the gcd, so the results are in lowest terms
+too, with no gcd taken anywhere.
 """
 
 from __future__ import annotations
@@ -121,3 +124,33 @@ def fold_turns(word, num=0, den=1):
     if b > 0 or t is None:
         return a, b
     return (-a, -b) if b else (1, 0)
+
+
+def fold_prefixes(word, num=0, den=1):
+    """Walk the turn rules over ``word`` one turn at a time from num/den.
+
+    Yields the seed as given, then the pair after each turn in
+    ``fold_turns``' normal form (the sign on the numerator, n/0 as 1/0),
+    so each pair equals ``fold_turns`` of its prefix from the same seed.
+    A bad turn code raises when the walk reaches it.
+    """
+    a, b = num, den
+    yield a, b
+    for t, k in _blocks(word):
+        for _ in repeat(None, k):
+            if t == 0:
+                a = a + b
+            elif t == 1:
+                b = a + b
+            elif t == 2:
+                a = a - b
+            elif t == 3:
+                b = b - a
+            else:
+                raise ValueError("bad turn code %r" % (t,))
+            if b > 0:
+                yield a, b
+            elif b:
+                yield -a, -b
+            else:
+                yield 1, 0

@@ -60,26 +60,23 @@ def taffy_number(word: Sequence[int]) -> ExtRational:
 
 
 def _prefix_pairs(word: Sequence[int]):
-    """The (num, den) pair of every prefix of ``word``, seed first, one
-    fold of one turn at a time, keeping none of them.
+    """The (num, den) pair of every prefix of ``word``, seed first:
+    ``kernel.fold_prefixes`` from 0/1, which keeps none of them.
 
     Every per-prefix answer reads this walk, so a word of more than
-    TRACE_CAP turns is refused, on its turn count, before the first pair.
+    TRACE_CAP turns is refused, on its turn count, when this is called,
+    before the walk is made.
     """
     word = words.as_word(word)
     if word._len > TRACE_CAP:
         raise ValueError("traces are capped at %d turns" % TRACE_CAP)
-    fold = kernel.fold_turns
-    a, b = 0, 1
-    yield a, b
-    for t in word:
-        a, b = pair = fold((t,), a, b)
-        yield pair
+    return kernel.fold_prefixes(word)
 
 
 def number_trace(word: Sequence[int]) -> List[ExtRational]:
     """Every intermediate fraction, seed first, one entry per turn: the
-    fractions of ``_prefix_pairs``, which refuses a word past TRACE_CAP."""
+    pairs of the kernel's prefix walk as fractions.  A word past
+    TRACE_CAP turns is refused before the walk starts."""
     return list(starmap(ExtRational._coprime, _prefix_pairs(word)))
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -201,3 +202,22 @@ def test_effectiveness_report_handles_reverse_turns():
     q = taffy_number(parse_word("R L^-1"))
     assert q == make(1, 0)
     assert rows[-1].total == 1
+
+
+def test_effectiveness_report_puts_the_sign_on_the_numerator():
+    # R L^-1 L^-1 passes 1/0 and lands on -1/1, not on 1/-1
+    rows = effectiveness_report(parse_word("R L^-1 L^-1"))
+    assert [row.total for row in rows] == [1, 2, 1, 2]
+    assert [str(row.ratio) for row in rows[1:]] == ["2/1", "1/2", "2/1"]
+
+
+def test_effectiveness_report_totals_match_each_prefix_number():
+    rng = random.Random(24)
+    for _ in range(300):
+        word = tuple(rng.randrange(4) for _ in range(rng.randrange(1, 25)))
+        rows = effectiveness_report(word)
+        expected = []
+        for k in range(len(word) + 1):
+            q = taffy_number(word[:k])
+            expected.append(abs(q.num) + q.den)
+        assert [row.total for row in rows] == expected

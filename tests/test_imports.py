@@ -170,17 +170,17 @@ def test_words_writes_each_alphabet_once():
     assert sorted(value for _, value in turn_spellings((SRC / "words.py").read_text())) == ["H", "L", "R", "V"]
 
 
-def fold_readers(sources: dict):
-    """The labels of the sources that define or read ``fold_turns``: as
-    a definition, a name, an attribute or an imported name."""
+def fold_readers(sources: dict, fold: str = "fold_turns"):
+    """The labels of the sources that define or read the kernel loop
+    ``fold``: as a definition, a name, an attribute or an imported name."""
     return sorted(
         label
         for label, source in sources.items()
         if any(
-            isinstance(node, ast.FunctionDef) and node.name == "fold_turns"
-            or isinstance(node, ast.Name) and node.id == "fold_turns"
-            or isinstance(node, ast.Attribute) and node.attr == "fold_turns"
-            or isinstance(node, ast.ImportFrom) and any(a.name == "fold_turns" for a in node.names)
+            isinstance(node, ast.FunctionDef) and node.name == fold
+            or isinstance(node, ast.Name) and node.id == fold
+            or isinstance(node, ast.Attribute) and node.attr == fold
+            or isinstance(node, ast.ImportFrom) and any(a.name == fold for a in node.names)
             for node in ast.walk(ast.parse(source))
         )
     )
@@ -201,6 +201,13 @@ def test_only_the_algebra_folds_a_word():
     per-prefix answer reads treewalk's walk over the prefixes."""
     sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     assert fold_readers(sources) == ["analysis.py", "kernel.py", "rationals.py", "treewalk.py"]
+
+
+def test_only_treewalk_walks_the_prefixes():
+    """The per-turn prefix walk is read only through ``treewalk``'s
+    ``_prefix_pairs``, with its cap: the CLI and the diagrams never fold."""
+    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert fold_readers(sources, "fold_prefixes") == ["kernel.py", "treewalk.py"]
 
 
 def attribute_guards(source: str):

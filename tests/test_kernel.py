@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -81,3 +82,57 @@ def test_blocks_are_one_per_turn_or_a_words_runs():
 def test_a_bad_code_in_a_long_word_is_rejected():
     with pytest.raises(ValueError, match="bad turn code 4"):
         kernel.fold_turns((0,) * 100 + (4,))
+
+
+# --- the prefix walk -----------------------------------------------------------
+
+PREFIX_SEEDS = [(0, 1), (1, 0), (-1, 0), (3, -7)]
+
+
+def test_every_short_walk_yields_the_fold_of_each_prefix():
+    """Every word of at most 7 turns over the four codes, from each seed.
+
+    Each walk ends on its word's fold and, before that, repeats the walk
+    of its word less the last turn, so by induction on the length every
+    pair it yields is the fold of that prefix.
+    """
+    fold = kernel.fold_turns
+    walks = 0
+    for seed in PREFIX_SEEDS:
+        shorter = {(): [seed]}
+        assert list(kernel.fold_prefixes((), *seed)) == [seed]
+        for n in range(1, 8):
+            level = {}
+            for word in itertools.product(range(4), repeat=n):
+                walk = level[word] = list(kernel.fold_prefixes(word, *seed))
+                assert walk[-1] == fold(word, *seed)
+                assert walk[:-1] == shorter[word[:-1]]
+            shorter = level
+            walks += len(level)
+    assert walks + len(PREFIX_SEEDS) == 87380
+
+
+def per_turn_prefixes(word, num=0, den=1):
+    """Reference: the seed as given, then ``per_turn_fold`` one turn on."""
+    pairs = [(num, den)]
+    for t in word:
+        pairs.append(per_turn_fold((t,), *pairs[-1]))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_words, coprime_seeds)
+def test_a_walk_over_long_runs_yields_every_prefix(word, seed):
+    expected = per_turn_prefixes(word, *seed)
+    assert list(kernel.fold_prefixes(kernel.Word(word), *seed)) == expected
+    assert list(kernel.fold_prefixes(word, *seed)) == expected
+    assert expected[-1] == kernel.fold_turns(kernel.Word(word), *seed)
+
+
+def test_the_walk_rejects_a_bad_code_when_it_reaches_it():
+    walk = kernel.fold_prefixes((0,) * 100 + (4,))
+    assert [next(walk) for _ in range(101)][-1] == (100, 1)
+    with pytest.raises(ValueError, match="bad turn code 4"):
+        next(walk)
+    with pytest.raises(ValueError, match="bad turn code 4"):
+        list(kernel.fold_prefixes(kernel.Word((1,) * 50 + (4, 4))))
