@@ -80,9 +80,13 @@ def make(num: int, den: int = 1) -> ExtRational:
     return ExtRational(num, den)
 
 
+# Looked up once; Python 3.10.0-3.10.6 converts ints of any length.
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def digit_limit() -> int:
     """The most digits Python converts an int to or from (0: no limit)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return _get_digit_limit()
 
 
 def _integer(digits: str, what: str) -> int:

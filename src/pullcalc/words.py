@@ -17,7 +17,7 @@ The code arithmetic is load-bearing: ``t ^ 2`` is the inverse turn and
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from typing import Iterable, Sequence
 
 from pullcalc import kernel
@@ -46,7 +46,7 @@ class WordSyntaxError(ValueError):
 
 
 def tokenize(text: str, letters: tuple) -> Word:
-    """Scan ``text`` into a word using the given uppercase alphabet.
+    """Read ``text`` as a word using the given uppercase alphabet.
 
     ``letters`` is the alphabet's letter pair; the lowercase form of a
     letter spells its inverse, and ``X^k`` repeats (a negative
@@ -57,7 +57,36 @@ def tokenize(text: str, letters: tuple) -> Word:
     (leading zeros aside) is refused at its offset, and no other limit
     applies.  Each token adds one block, merged into the last one when
     the codes agree, so ``X^k`` costs the same for every k.
+
+    The text is split at whitespace (``str.split`` and ``isspace``
+    agree on it) and each chunk looked up in the alphabet's spelling
+    table; a text with any chunk outside it goes through ``_scan``, the
+    only grammar, which gives every refusal and its offset.
     """
+    read = _spelling(letters).read
+    codes, counts = [], []
+    last = None
+    try:
+        for chunk in text.split():
+            block = read[chunk]
+            if block is None:  # e
+                continue
+            t, k = block
+            if t == last:
+                counts[-1] += k
+            else:
+                codes.append(t)
+                counts.append(k)
+                last = t
+    except KeyError:
+        pass  # scanned outside the handler, so a refusal chains no KeyError
+    else:
+        return Word._of(tuple(codes), tuple(counts))
+    return _scan(text, letters)
+
+
+def _scan(text: str, letters: tuple) -> Word:
+    """Read ``text`` character by character, in the grammar of ``tokenize``."""
     codes, counts = [], []
     last = None
     i, n = 0, len(text)
@@ -105,6 +134,43 @@ def tokenize(text: str, letters: tuple) -> Word:
     return Word._of(tuple(codes), tuple(counts))
 
 
+# The longest block the spelling tables hold: texts mostly spell short
+# runs, and a longer block is formatted on each use.
+SPELLED_COUNT = 16
+
+
+class _SpellingTable(dict):
+    """An alphabet's spelling table: each block ``(code, count)`` with
+    count 1 to SPELLED_COUNT maps to the text ``spell_blocks`` writes
+    for it, and any other block is formatted on lookup (not kept) or
+    refused for a bad code.  ``read`` maps each of those texts, ``e``
+    and the lowercase letters back to the block ``_scan`` reads from it
+    (None for ``e``)."""
+
+    def __init__(self, letters: tuple):
+        self.letters = letters
+        for block in product((R, L, R_INV, L_INV), range(1, SPELLED_COUNT + 1)):
+            self[block] = self.__missing__(block)
+        self.read = {}
+        for text in chain(self.values(), ("e",), map(str.lower, letters)):
+            word = _scan(text, letters)
+            self.read[text] = next(zip(word.codes, word.counts), None)
+
+    def __missing__(self, block: tuple) -> str:
+        t, k = block
+        if t not in (0, 1, 2, 3):
+            raise ValueError("bad turn code %r" % (t,))
+        if t & 2:
+            k = -k
+        return self.letters[t & 1] if k == 1 else "%s^%d" % (self.letters[t & 1], k)
+
+
+@lru_cache
+def _spelling(letters: tuple) -> _SpellingTable:
+    """The alphabet's spelling table, built on first use."""
+    return _SpellingTable(letters)
+
+
 def parse_word(text: str) -> Word:
     """Parse R/L notation ("R^2 L R^-1", "r l", "e") into a word."""
     return tokenize(text, TURN_LETTERS)
@@ -123,40 +189,22 @@ def format_word(word: Sequence[int], style: str = "plain", letters: tuple = TURN
     word.  The empty word comes out as ``e`` in both styles.
     """
     if style == "plain":
-        token = _turn_tokens(letters).__getitem__
+        token = _spelling(letters).__getitem__
         if isinstance(word, Word):
-            turns = chain.from_iterable(map(repeat, map(token, word.codes), word.counts))
+            turns = chain.from_iterable(map(repeat, map(token, zip(word.codes, repeat(1))), word.counts))
         else:
-            turns = map(token, word)  # one turn per block
-        try:
-            return " ".join(turns) or "e"
-        except KeyError as exc:
-            raise ValueError("bad turn code %r" % exc.args) from None
+            turns = map(token, zip(word, repeat(1)))  # one turn per block
+        return " ".join(turns) or "e"
     if style != "runs":
         raise ValueError("unknown style %r" % style)
     return spell_blocks(*_reduced_blocks(word), letters)
-
-
-@lru_cache
-def _turn_tokens(letters: tuple) -> dict:
-    """Each turn code's one-turn token in an alphabet, as spell_blocks
-    writes it."""
-    codes = (R, L, R_INV, L_INV)
-    return dict(zip(codes, spell_blocks(codes, repeat(1), letters).split()))
 
 
 def spell_blocks(codes: Iterable[int], counts: Iterable[int], letters: tuple = TURN_LETTERS) -> str:
     """Write ``(code, count)`` blocks as is, ``e`` when there are none:
     each is ``X`` or ``X^n``, X is ``letters[code & 1]``, and n is the
     count, negated for an inverse code (``code & 2``)."""
-    parts = []
-    for t, k in zip(codes, counts):
-        if t not in (0, 1, 2, 3):
-            raise ValueError("bad turn code %r" % (t,))
-        if t & 2:
-            k = -k
-        parts.append(letters[t & 1] if k == 1 else "%s^%d" % (letters[t & 1], k))
-    return " ".join(parts) or "e"
+    return " ".join(map(_spelling(letters).__getitem__, zip(codes, counts))) or "e"
 
 
 def format_tangle(word: Sequence[int], style: str = "plain") -> str:
