@@ -18,8 +18,10 @@ instead of every pair of pieces with overlapping boxes; the two parts
 that meet at a joint are not paired.  Most of those pairs have y ranges
 apart and pass on that alone, so ``piece_intersections`` decides about
 three pairs in four pieces (1,965 for the 2,583 pieces of 233/377).
-Peg clearance likewise decides only the pieces whose box comes near a
-peg.
+A built strand is a few long x-monotone chains, and at a chain's
+interior vertex (1,900 of the 2,888 event points of 233/377) the next
+part takes the place of the last with no search.  Peg clearance
+decides only the pieces whose box comes near a peg.
 """
 
 from __future__ import annotations
@@ -237,29 +239,6 @@ def rotate_taffy(d: TaffyDiagram) -> TaffyDiagram:
     return TaffyDiagram(d.pegs, strand, LayerCounts(right=d.counts.left, left=d.counts.right))
 
 
-def _crossings(pieces, *lines) -> list:
-    """Count transversal crossings of each vertical line x = c in lines.
-
-    One walk of the strand lists the x of every sample point (piece
-    ends, plus the sideways extreme of each arc).  For each line, the
-    signs of (x - c) with the zeros dropped flip once per crossing, so
-    points exactly on the line do not double-count.
-    """
-    xs = []
-    for piece in pieces:
-        if isinstance(piece, HalfCircle):
-            (cx, _), r, side, _ = piece
-            xs += (cx, cx - r if side == "west" else cx + r, cx)
-        else:
-            (x1, _), (x2, _) = piece
-            xs += (x1, x2)
-    counts = []
-    for c in lines:
-        signs = [v for v in [(x > c) - (x < c) for x in xs] if v]
-        counts.append(sum(a != b for a, b in zip(signs, signs[1:])))
-    return counts
-
-
 def _parts(pieces):
     """The strand as flat x-monotone parts.
 
@@ -344,28 +323,41 @@ def _no_self_crossings(pieces) -> bool:
     A Shamos-Hoey sweep over x-monotone parts narrows the pairs that
     ``_clash`` decides.  Events are the part ends in (x, y) order, which
     shears the sweep so that a vertical runs from its lower end to its
-    upper end.  ``active`` holds the parts that cross the sweep, bottom
-    to top.  At each event every pair among the parts through the
-    point and the parts that start there is tested but one kind, the
-    ending parts make way for the starting ones, and each pair that
-    becomes adjacent is tested.  The first contact that is not a joint
-    is thus tested no later than the sweep reaches it, before the order
-    could go wrong.
+    upper end.  ``active`` holds a cell [part, cell below, cell above]
+    for each part that crosses the sweep, bottom to top, and ``held``
+    maps a part's end to its cell.  Each pair that becomes adjacent is
+    tested, so the first contact that is not a joint is tested no later
+    than the sweep reaches it, before the order could go wrong.
 
-    The pair not tested is a part through p that ends there and a part
-    that starts there, of pieces i and i + 1 whose joint is p.  The
-    first lies in x <= p.x and the second in x >= p.x.  Each is
-    x-monotone, so on the line x = p.x the first holds p or a vertical
-    up to p, the second p or a vertical up from p.  The two meet only
-    at p, the legal joint.  Any other contact of the two pieces lies on
-    another pair of their parts, and that pair is tested.
+    At a chain's interior vertex p a part a of piece i ends, and the one
+    part that starts, b, is of piece i - 1 or i + 1, whose joint with
+    piece i is p: b takes a's cell and is tested against its neighbours.
+    No search is needed: once the sweep reaches p with no clash, no
+    other active part holds p.  Those that hold p are one run of
+    ``active`` whose adjacent pairs passed ``_clash``, so a's neighbour
+    in the run would be of a piece whose joint with piece i is p (the
+    other quarter of a's arc misses the pole p), b's piece, whose part
+    through p is b, not yet active.  So ``held`` gives a's cell.  At
+    every other event a binary search by ``_side`` finds the parts
+    through p, every pair among them and the parts that start there is
+    tested but one kind, and the ending parts make way for the new.
 
-    Once the pairs at p pass, at most two parts leave p: one of
-    each of two consecutive pieces at their joint, or the two quarters
-    of a west half circle at its equator.  Either way the two meet
-    nowhere but p, so the end of the part that ends first lies strictly
-    above or below the other part, which spans its x, and one side test
-    orders them.  Every order the sweep keeps thus comes from ``_side``.
+    The pair not tested, at a chain's vertex or elsewhere, is a part a
+    that ends at p and a part b that starts there, of consecutive pieces
+    whose joint is p.  a lies in x <= p.x and b in x >= p.x.  Each is
+    x-monotone, so on the line x = p.x a holds p or a vertical up to p,
+    b holds p or a vertical up from p: the two meet only at p.  Any
+    other contact of the two pieces lies on another pair of their parts,
+    and that pair is tested.
+
+    At a chain's vertex the one part that leaves p takes the place of
+    the one part that held p.  Elsewhere, once the pairs at p pass, at
+    most two parts leave p: one of each of two consecutive pieces at
+    their joint, or the two quarters of a west half circle at its
+    equator.  Either way the two meet nowhere but p, so the end of the
+    part that ends first lies strictly above or below the other part,
+    which spans its x, and one side test orders them.  Every order the
+    sweep keeps thus comes from ``_side``.
     """
     parts = _parts(pieces)
     starting = {}
@@ -374,21 +366,35 @@ def _no_self_crossings(pieces) -> bool:
         starting.setdefault(part[0], []).append(part)
         points.add(part[0])
         points.add(part[1])
-    active = []
+    active = []  # cells [part, cell below, cell above], bottom to top
+    held = {}  # the cell of each active part, by the part's end
+    last = len(pieces) - 1
     for p in sorted(points):
+        new = starting.get(p, [])
+        if len(new) == 1 and new[0][1] != p:
+            b = new[0]
+            j = b[2]
+            if (0 < j and pieces[j - 1].end == p == pieces[j].start) or (
+                j < last and pieces[j].end == p == pieces[j + 1].start
+            ):
+                cell = held[b[1]] = held.pop(p)
+                _, below, above = cell
+                cell[0] = b
+                if (below and _clash(below[0], b)) or (above and _clash(b, above[0])):
+                    return False
+                continue
         x, y = p
         lo, hi = 0, len(active)
         while lo < hi:
             mid = (lo + hi) // 2
-            if _side(active[mid], x, y) > 0:
+            if _side(active[mid][0], x, y) > 0:
                 lo = mid + 1
             else:
                 hi = mid
         top = lo
-        while top < len(active) and _side(active[top], x, y) == 0:
+        while top < len(active) and _side(active[top][0], x, y) == 0:
             top += 1
-        new = starting.get(p, [])
-        for a, b in itertools.combinations(active[lo:top] + new, 2):
+        for a, b in itertools.combinations([cell[0] for cell in active[lo:top]] + new, 2):
             if a[1] == p != a[0] and b[0] == p:  # a ends at p, b starts there
                 i, j = sorted((a[2], b[2]))
                 if j == i + 1 and pieces[i].end == p == pieces[j].start:
@@ -400,11 +406,21 @@ def _no_self_crossings(pieces) -> bool:
         if len(new) > 1:
             a, b = sorted(new)  # one start, so the part that ends first is a
             new = [b, a] if _side(b, *a[1]) > 0 else [a, b]
-        active[lo:top] = new
-        above = lo + len(new)
-        if 0 < lo < len(active) and _clash(active[lo - 1], active[lo]):
+        held.pop(p, None)
+        for cell in active[lo:top]:
+            cell[2] = None  # so the cells that leave hold no cycle
+        cells = [[part, None, None] for part in new]
+        run = [active[lo - 1] if lo else None, *cells, active[top] if top < len(active) else None]
+        for c, d in zip(run, run[1:]):
+            if c:
+                c[2] = d
+            if d:
+                d[1] = c
+        active[lo:top] = cells
+        held.update(zip([part[1] for part in new], cells))
+        if run[0] and run[1] and _clash(run[0][0], run[1][0]):
             return False
-        if new and above < len(active) and _clash(active[above - 1], active[above]):
+        if cells and run[-1] and _clash(run[-2][0], run[-1][0]):
             return False
     return True
 
@@ -445,25 +461,6 @@ def _on_grid(diagram: TaffyDiagram):
     return pegs, n[PEG_RADIUS], pieces
 
 
-def _clear_of_pegs(pieces, pegs, rho) -> bool:
-    """Does every piece keep at least rho from every peg?
-
-    A point of a piece closer than rho to a peg lies in the piece's
-    box, so only a piece whose box comes within rho of the peg on both
-    axes can fail, and ``comes_within`` decides just those.
-    """
-    for piece in pieces:
-        x0, y0, x1, y1 = bounding_box(piece)
-        for px, py in pegs:
-            if (
-                x0 - rho < px < x1 + rho
-                and y0 - rho < py < y1 + rho
-                and comes_within(piece, (px, py), rho)
-            ):
-                return False
-    return True
-
-
 def verify_taffy(diagram: TaffyDiagram) -> TaffyReport:
     """Re-measure a diagram and compare against its claimed counts.
 
@@ -472,41 +469,69 @@ def verify_taffy(diagram: TaffyDiagram) -> TaffyReport:
     coordinates and radii (floats are dyadic, so this is exact); the
     factor 2 puts the gap lines, halfway between neighbouring pegs, on
     the integer grid too.  From there every decision is a sign test on
-    Python ints.  One walk of the strand counts both gap lines.
+    Python ints.
 
-    The strand is embedded if no piece comes within the peg radius of
-    a peg and two pieces touch only at the one joint of consecutive
-    pieces.  Both halves narrow by boxes first: ``comes_within`` sees
-    only a piece whose box comes within the peg radius of a peg, and
-    the plane sweep (see the module docstring) narrows the pairs with
-    O(n log n) sign tests and passes two parts whose y ranges are
-    apart.  Each remaining candidate is still decided whole, by
-    ``comes_within`` or ``piece_intersections``.
+    One walk reads each piece once.  It counts both gap lines: the
+    strand's sample points (piece ends, and each arc's sideways extreme)
+    change sides of a line once per crossing, points on it skipped.  It
+    checks that each piece starts where the last ends.  And only a piece
+    whose box comes within the peg radius of a peg can come that close,
+    so ``comes_within`` decides just those.  The plane sweep (see the
+    module docstring) then narrows the pairs of pieces that may touch
+    with O(n log n) sign tests, and ``piece_intersections`` decides each.
     """
     pegs, rho, pieces = _on_grid(diagram)
     gl = (pegs[0][0] + pegs[1][0]) // 2
     gr = (pegs[1][0] + pegs[2][0]) // 2
 
-    chained = bool(pieces) and all(a.end == b.start for a, b in zip(pieces, pieces[1:]))
-    is_open = bool(pieces) and pieces[0].start != pieces[-1].end
-    single_arc = chained and is_open
-
-    right, left = _crossings(pieces, gr, gl)
-    measured = LayerCounts(right=right, left=left)
-
+    clear = chained = bool(pieces)
+    end = pieces[0].start if pieces else None
+    left = right = sl = sr = 0  # sl, sr: the side of gl, gr the last sample off it was on
+    peg_ys = [py for _, py in pegs]
+    ylo, yhi = min(peg_ys) - rho, max(peg_ys) + rho  # a piece outside clears every peg
+    for piece in pieces:
+        if isinstance(piece, HalfCircle):
+            (cx, cy), r, side, top = piece
+            x0, x1 = (cx - r, cx) if side == "west" else (cx, cx + r)
+            xs = (cx, x0 + x1 - cx, cx)
+            y0, y1 = cy - r, cy + r
+            start, stop = ((cx, y1), (cx, y0)) if top else ((cx, y0), (cx, y1))
+        else:
+            start, stop = piece
+            (x0, y0), (x1, y1) = piece
+            xs = (x0, x1)
+            x0, x1 = min(xs), max(xs)
+            y0, y1 = (y0, y1) if y0 < y1 else (y1, y0)
+        chained = chained and start == end
+        end = stop
+        for x in xs:  # a change of side counts 1, the first side seen 0
+            if x < gl and sl >= 0:
+                left += sl
+                sl = -1
+            elif x > gl and sl <= 0:
+                left -= sl
+                sl = 1
+            if x < gr and sr >= 0:
+                right += sr
+                sr = -1
+            elif x > gr and sr <= 0:
+                right -= sr
+                sr = 1
+        if clear and y0 < yhi and ylo < y1:
+            for px, py in pegs:
+                if x0 - rho < px < x1 + rho and y0 - rho < py < y1 + rho:
+                    clear = clear and not comes_within(piece, (px, py), rho)
     ends_on_pegs = bool(pieces) and all(
         any((e[0] - px) ** 2 + (e[1] - py) ** 2 == rho * rho for px, py in pegs)
         for e in (pieces[0].start, pieces[-1].end)
     )
 
-    embedded = _clear_of_pegs(pieces, pegs, rho) and _no_self_crossings(pieces)
-
     return TaffyReport(
         expected=diagram.counts,
-        measured=measured,
-        single_arc=single_arc,
+        measured=LayerCounts(right=right, left=left),
+        single_arc=chained and pieces[0].start != pieces[-1].end,
         ends_on_pegs=ends_on_pegs,
-        embedded=embedded,
+        embedded=clear and _no_self_crossings(pieces),
     )
 
 

@@ -1,16 +1,18 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pullcalc import words
+from pullcalc import rationals, words
 from pullcalc.analysis import cw_row
 from pullcalc.rationals import (
     ExtRational,
     apply_turn_rule,
     cf_eval,
     cf_expand,
+    digit_limit,
     format_cf,
     make,
     neg_recip,
@@ -127,6 +129,23 @@ def test_parse_fraction_accepts_the_grammar():
 def test_parse_fraction_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_fraction(text)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit"
+)
+def test_no_digit_limit_reads_as_zero_and_refuses_no_length(monkeypatch):
+    # Python 3.10.0-3.10.6 has no sys.get_int_max_str_digits, and
+    # converts ints of any length: rationals then reads the limit as 0
+    monkeypatch.setattr(rationals, "_get_digit_limit", lambda: 0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert digit_limit() == 0
+        num = "7" * 5000
+        assert parse_fraction(num + "/3") == make(int(num), 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # --- turn rules ------------------------------------------------------------
