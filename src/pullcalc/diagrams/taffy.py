@@ -14,14 +14,15 @@ equator into two x-monotone quarters; the sweep visits part ends in
 (x, y) order, orders the parts it holds by one exact side test alone,
 and pairs only the parts that meet at such a point or become
 neighbours in the sweep, less than two and a half pairs per piece
-instead of every pair of pieces with overlapping boxes; the two parts
-that meet at a joint are not paired.  Most of those pairs have y ranges
-apart and pass on that alone, so ``piece_intersections`` decides about
-three pairs in four pieces (1,965 for the 2,583 pieces of 233/377).
-A built strand is a few long x-monotone chains, and at a chain's
-interior vertex (1,900 of the 2,888 event points of 233/377) the next
-part takes the place of the last with no search.  Peg clearance
-decides only the pieces whose box comes near a peg.
+instead of every pair of pieces with overlapping boxes.  Most of those
+pairs have y ranges apart and pass on that alone, so
+``piece_intersections`` decides about three pairs in four pieces
+(1,965 for the 2,583 pieces of 233/377).  A built strand is a few long
+x-monotone chains, and at a chain's interior vertex (1,900 of the 2,888
+event points of 233/377) the next part takes the place of the last
+with no search; those two parts, which meet only at their joint, are
+the one pair not tested.  Peg clearance decides only the pieces whose
+box comes near a peg.
 """
 
 from __future__ import annotations
@@ -340,15 +341,17 @@ def _no_self_crossings(pieces) -> bool:
     through p is b, not yet active.  So ``held`` gives a's cell.  At
     every other event a binary search by ``_side`` finds the parts
     through p, every pair among them and the parts that start there is
-    tested but one kind, and the ending parts make way for the new.
+    tested, and the ending parts make way for the new.  ``_clash``
+    passes a joint pair it is given, consecutive pieces that meet once,
+    at their joint.
 
-    The pair not tested, at a chain's vertex or elsewhere, is a part a
-    that ends at p and a part b that starts there, of consecutive pieces
-    whose joint is p.  a lies in x <= p.x and b in x >= p.x.  Each is
-    x-monotone, so on the line x = p.x a holds p or a vertical up to p,
-    b holds p or a vertical up from p: the two meet only at p.  Any
-    other contact of the two pieces lies on another pair of their parts,
-    and that pair is tested.
+    The pair not tested, at a chain's vertex, is a, which ends at p, and
+    b, which starts there, of consecutive pieces whose joint is p.  a
+    lies in x <= p.x and b in x >= p.x.  Each is x-monotone, so on the
+    line x = p.x a holds p or a vertical up to p, b holds p or a
+    vertical up from p: the two meet only at p.  Any other contact of
+    the two pieces lies on another pair of their parts, and that pair
+    is tested.
 
     At a chain's vertex the one part that leaves p takes the place of
     the one part that held p.  Elsewhere, once the pairs at p pass, at
@@ -395,10 +398,6 @@ def _no_self_crossings(pieces) -> bool:
         while top < len(active) and _side(active[top][0], x, y) == 0:
             top += 1
         for a, b in itertools.combinations([cell[0] for cell in active[lo:top]] + new, 2):
-            if a[1] == p != a[0] and b[0] == p:  # a ends at p, b starts there
-                i, j = sorted((a[2], b[2]))
-                if j == i + 1 and pieces[i].end == p == pieces[j].start:
-                    continue
             if _clash(a, b):
                 return False
         # past these tests every part through p ends or starts there

@@ -59,15 +59,20 @@ def tokenize(text: str, letters: tuple) -> Word:
     the codes agree, so ``X^k`` costs the same for every k.
 
     Each chunk between whitespace (``str.split`` and ``isspace`` agree
-    on it) is looked up in the alphabet's spelling table; a text with a
-    chunk outside it is read by ``_scan``, the one grammar and the
-    source of every refusal and its offset.
+    on it) is looked up in the alphabet's spelling table.  From the
+    first chunk outside it the text is read by ``_scan``, the one
+    grammar and the source of every refusal and its offset; no token
+    spans whitespace, so the chunks before read the same either way.
     """
     read = _spelling(letters).read
+    chunks = text.split()
     try:
-        blocks = filter(None, list(map(read.__getitem__, text.split())))  # e reads as None
-    except KeyError:
-        blocks = _scan(text, letters)  # a generator: a refusal is raised outside this handler
+        blocks = list(map(read.__getitem__, chunks))
+    except KeyError as exc:  # _scan is a generator: a refusal is raised outside this handler
+        k = chunks.index(exc.args[0])  # the first chunk outside the table
+        start = len(text) - len(text.split(None, k)[-1])  # where that chunk starts
+        blocks = chain(map(read.__getitem__, chunks[:k]), _scan(text, letters, start))
+    blocks = filter(None, blocks)  # e reads as None
     codes, counts = [], []
     last = None
     for t, k in blocks:
@@ -80,9 +85,9 @@ def tokenize(text: str, letters: tuple) -> Word:
     return Word._of(tuple(codes), tuple(counts))
 
 
-def _scan(text: str, letters: tuple) -> Iterable[tuple]:
+def _scan(text: str, letters: tuple, start: int = 0) -> Iterable[tuple]:
     """Yield each token's ``(code, count)`` block, reading ``text`` a character at a time."""
-    i, n = 0, len(text)
+    i, n = start, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():

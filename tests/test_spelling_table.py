@@ -1,12 +1,12 @@
 """The per-alphabet spelling table behind ``tokenize`` and ``spell_blocks``.
 
 ``tokenize`` splits a text at whitespace and looks each chunk up in its
-alphabet's table; a text with any chunk outside the table goes through
-the character scanner ``words._scan`` instead.  These tests pin what
-that rests on: ``str.split`` and ``str.isspace`` agree on every code
-point, every table entry reads and writes back through the scanner and
-the writer, and a text that leaves the table reads as the scanner reads
-it, refusals and their offsets included.
+alphabet's table; from the first chunk outside the table on, a text
+goes through the character scanner ``words._scan`` instead.  These tests
+pin what that rests on: ``str.split`` and ``str.isspace`` agree on
+every code point, every table entry reads and writes back through the
+scanner and the writer, and a text that leaves the table reads as the
+scanner reads it, refusals and their offsets included.
 """
 
 import random
@@ -140,9 +140,28 @@ def test_a_text_outside_the_table_reads_as_the_scanner_reads_it(text, blocks):
     words._spelling(TURN_LETTERS)
     with mock.patch.object(words, "_scan", wraps=words._scan) as scan:
         got = parse_word(text)
-    scan.assert_called_once_with(text, TURN_LETTERS)
+    scan.assert_called_once()
+    assert scan.call_args.args[:2] == (text, TURN_LETTERS)
     assert (got.codes, got.counts) == (want.codes, want.counts)
     assert got == scanned(text, TURN_LETTERS)
+
+
+@pytest.mark.parametrize(
+    "text, start",
+    [
+        ("R^16 R^1", 5),  # the chunk outside the table is also the head of one inside it
+        ("L^16\t\t\t\tL^16 L^1 R", 13),
+        ("  R^2 \u3000 ^ L", 8),
+        ("R^-16  -1 L", 7),
+        ("R^17", 0),
+    ],
+)
+def test_the_scanner_starts_at_the_first_chunk_outside_the_table(text, start):
+    words._spelling(TURN_LETTERS)
+    with mock.patch.object(words, "_scan", wraps=words._scan) as scan:
+        got = outcome(parse_word, text)
+    scan.assert_called_once_with(text, TURN_LETTERS, start)
+    assert got == outcome(lambda t: scanned(t, TURN_LETTERS), text)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,9 @@ searches.
 ``reference_crossings`` and ``reference_clear_of_pegs`` are the
 separate walks ``verify_taffy`` made before it read each piece once;
 the report must match them on criterion 7's values and on seeded
-mutations of builder diagrams.
+mutations of builder diagrams.  Those mutations break the chain, so
+``move_joint`` also moves the joint of two consecutive segments, which
+keeps it: the sweep meets most moved joints by the chain step.
 """
 
 import random
@@ -26,12 +28,12 @@ import random
 import pytest
 
 from pullcalc.diagrams import taffy
-from pullcalc.diagrams.geometry import HalfCircle, bounding_box, comes_within
+from pullcalc.diagrams.geometry import HalfCircle, Segment, bounding_box, comes_within
 from pullcalc.diagrams.taffy import TaffyReport, build_taffy, rotate_taffy, verify_taffy
 from pullcalc.rationals import make
 from pullcalc.treewalk import LayerCounts
 from test_taffy_diagrams import hand_diagram, seg
-from test_taffy_sweep import agreed_verdict, criterion_7_values, mutate
+from test_taffy_sweep import _quarters, agreed_verdict, criterion_7_values, mutate
 
 # an eastward chain with a peak at (3, 3) and a valley at (5, 1)
 CHAIN = [seg(1, 1, 3, 3), seg(3, 3, 5, 1), seg(5, 1, 7, 2)]
@@ -255,3 +257,38 @@ def test_the_walk_matches_the_separate_walks_on_mutations():
         seen.add((clear, want.counts_match))
     # every mutation breaks the chain; some touch a peg and some move a count
     assert seen == {(a, b) for a in (False, True) for b in (False, True)}
+
+
+# --- moved joints: mutations that keep the strand chained ---------------------------
+
+def move_joint(diagram, rng):
+    """Move the joint of two consecutive segments by up to 2 each way, in steps of 1/4.
+
+    Piece k's end and piece k + 1's start move together, so the strand
+    stays one chain and the sweep meets the moved vertex, where it is
+    still a chain's vertex, by the chain step.  Returns the mutant and
+    the moved joint.
+    """
+    strand = list(diagram.strand)
+    segments = [isinstance(piece, Segment) for piece in strand]
+    k = rng.choice([k for k in range(len(strand) - 1) if segments[k] and segments[k + 1]])
+    (x1, y1), (x, y) = strand[k]
+    x2, y2 = strand[k + 1].end
+    x, y = x + _quarters(rng, -8, 8), y + _quarters(rng, -8, 8)
+    strand[k : k + 2] = seg(x1, y1, x, y), seg(x, y, x2, y2)
+    return diagram._replace(strand=tuple(strand)), (x, y)
+
+
+def test_moved_joints_keep_the_chain_and_match_the_scan():
+    rng = random.Random(27)
+    built = [build_taffy(make(num, den)) for num, den in ((8, 13), (13, 21), (21, 34))]
+    seen = set()
+    for d in built + [rotate_taffy(d) for d in built]:
+        for _ in range(50):
+            mutant, joint = move_joint(d, rng)
+            agreed_verdict(mutant)
+            report = verify_taffy(mutant)
+            assert report.single_arc, mutant
+            seen.add((report.embedded, joint in chain_vertices(mutant)))
+    # both verdicts occur, each also with the moved joint met as a chain's vertex
+    assert seen >= {(False, True), (True, True)}

@@ -1,17 +1,22 @@
-"""Contacts next to the joint pairs the sweep does not test.
+"""Contacts next to joint pairs, which the sweep tests but at a chain's vertex.
 
-``taffy._no_self_crossings`` does not pass to ``_clash`` a part that
-ends at an event point p together with a part that starts there, when
-the two belong to pieces i and i + 1 whose joint is p: such parts meet
-only at p.  Every case below puts a contact, or a near miss, next to
-such a pair or next to a pair that looks like one but must still be
-tested: two parts that both end at p, a third piece at a joint, two
-consecutive pieces that share a point that is not their joint.  Sweep
-and quadratic scan must agree, on each strand and on its half-turn.
+``taffy._no_self_crossings`` passes every pair of parts that meet at an
+event point p to ``_clash`` but one: at a chain's interior vertex, where
+a part of piece i ends and the only part that starts there is of piece
+i - 1 or i + 1, whose joint with piece i is p, the new part takes the
+old one's place untested, since the two meet only at p.  Everywhere
+else ``_clash`` decides a joint pair itself: consecutive pieces that
+meet once, at their joint, pass.  Every case below puts a contact, or a
+near miss, next to a joint pair or next to a pair that looks like one
+but must still be tested: two parts that both end at p, a third piece
+at a joint, two consecutive pieces that share a point that is not their
+joint.  Sweep and quadratic scan must agree, on each strand and on its
+half-turn.
 
-Most joints of a builder strand hold such a pair (1,900 of the 2,582
-joints of 233/377), so with them left out ``piece_intersections`` runs
-fewer times than the strand has pieces.
+Most joints of a builder strand are chain vertices (1,900 of the 2,582
+joints of 233/377), and most pairs the sweep does test have y ranges
+apart, so ``piece_intersections`` runs fewer times than the strand has
+pieces.
 """
 
 import pytest
