@@ -37,7 +37,6 @@ from .geometry import (
     HalfCircle,
     Segment,
     _sign,
-    bounding_box,
     comes_within,
     piece_intersections,
     reverse_piece,
@@ -574,10 +573,30 @@ def render_taffy_svg(diagram: TaffyDiagram) -> str:
             "ends_on_pegs=%s, embedded=%s" % report
         )
 
+    # one pass over the strand: the frame, which holds every piece's box,
+    # and each piece's end and path command
     pegs = sorted(diagram.pegs)
-    peg_boxes = [(px - PEG_RADIUS, py - PEG_RADIUS, px + PEG_RADIUS, py + PEG_RADIUS) for px, py in pegs]
-    x0s, y0s, x1s, y1s = zip(*map(bounding_box, diagram.strand), *peg_boxes)
-    xmin, ymin, xmax, ymax = min(x0s), min(y0s), max(x1s), max(y1s)
+    xs = [px + d for px, _ in pegs for d in (-PEG_RADIUS, PEG_RADIUS)]
+    ys = [py + d for _, py in pegs for d in (-PEG_RADIUS, PEG_RADIUS)]
+    num = _Numbers()
+    ends_x, ends_y, steps = [], [], []
+    for piece in diagram.strand:
+        if isinstance(piece, Segment):
+            (x0, y0), (x, y) = piece
+            xs += x0, x
+            ys += y0, y
+            steps.append("L %s %s")
+        else:
+            (x, cy), r, side, top = piece
+            y = cy - r if top else cy + r
+            xs += x, (x - r if side == "west" else x + r)
+            ys += cy - r, cy + r
+            # clockwise on screen: east from the top pole, west from the bottom
+            r = num[r * STRAND_GAP]
+            steps.append("A %s %s 0 0 %d %%s %%s" % (r, r, (side == "east") == top))
+        ends_x.append(x)
+        ends_y.append(y)
+    xmin, ymin, xmax, ymax = min(xs), min(ys), max(xs), max(ys)
     pad = max(2.0 * STROKE_WIDTH, STRAND_GAP)
 
     def x_of(x):
@@ -592,7 +611,6 @@ def render_taffy_svg(diagram: TaffyDiagram) -> str:
     gl = (pegs[0][0] + pegs[1][0]) / 2.0
     gr = (pegs[1][0] + pegs[2][0]) / 2.0
 
-    num = _Numbers()
     parts = []
     for line_x, cls, count in (
         (gl, "gap gap-left", diagram.counts.left),
@@ -604,16 +622,11 @@ def render_taffy_svg(diagram: TaffyDiagram) -> str:
             % (cls, num[x_of(line_x)], num[x_of(line_x)], num[height], count)
         )
 
-    d_parts = ["M %s %s" % (num[x_of(diagram.strand[0].start[0])], num[y_of(diagram.strand[0].start[1])])]
-    for piece in diagram.strand:
-        ex, ey = x_of(piece.end[0]), y_of(piece.end[1])
-        if isinstance(piece, Segment):
-            d_parts.append("L %s %s" % (num[ex], num[ey]))
-        else:
-            r = piece.radius * STRAND_GAP
-            # clockwise on screen: east from the top pole, west from the bottom
-            sweep = int((piece.side == "east") == piece.start_at_top)
-            d_parts.append("A %s %s 0 0 %d %s %s" % (num[r], num[r], sweep, num[ex], num[ey]))
+    text_x = {x: num[x_of(x)] for x in set(ends_x)}
+    text_y = {y: num[y_of(y)] for y in set(ends_y)}
+    x, y = diagram.strand[0].start
+    d_parts = ["M %s %s" % (num[x_of(x)], num[y_of(y)])]
+    d_parts += [step % (text_x[x], text_y[y]) for step, x, y in zip(steps, ends_x, ends_y)]
     parts.append(
         '<path class="strand" d="%s" fill="none" stroke="#b03030" '
         'stroke-width="%s" stroke-linecap="round" stroke-linejoin="round"/>'

@@ -114,7 +114,9 @@ def test_every_definition_is_read_or_exported():
 # each with the reason it stays.  A new name that only tests read fails.
 TEST_ONLY_NAMES = {
     "analysis.py: alternating_layers": "acceptance lock: the Fibonacci extremes in closed form",
+    "diagrams/geometry.py: bounding_box": "test reference: the tight box of a piece, read by the quadratic scan",
     "diagrams/taffy.py: rotate_taffy": "test reference: the half-turn that build_taffy draws directly",
+    "diagrams/tangles.py: crossings": "library API: each twist's position and sign, which the SVG draws from the word",
     "rationals.py: make": "acceptance lock: builds every fraction the criteria check",
     "rationals.py: neg_recip": "acceptance lock: the -1/q symmetry rotate_canonical must match",
     "treewalk.py: rotate_canonical": "acceptance lock: the structural half-turn of a canonical class",

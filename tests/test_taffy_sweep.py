@@ -53,9 +53,12 @@ def reference_no_self_crossings(pieces) -> bool:
     return True
 
 
-def reference_report(diagram):
+def reference_report(diagram, verdict):
+    """verify_taffy with the sweep's answer replaced by ``verdict``, the
+    quadratic scan's answer on the diagram's grid pieces (found once by
+    the caller, not again here)."""
     sweep = taffy._no_self_crossings
-    taffy._no_self_crossings = reference_no_self_crossings
+    taffy._no_self_crossings = lambda _: verdict
     try:
         return verify_taffy(diagram)
     finally:
@@ -71,7 +74,7 @@ def agreed_verdict(diagram) -> bool:
     _, _, pieces = taffy._on_grid(diagram)
     want = reference_no_self_crossings(pieces)
     assert taffy._no_self_crossings(pieces) == want, diagram
-    assert verify_taffy(diagram) == reference_report(diagram), diagram
+    assert verify_taffy(diagram) == reference_report(diagram, want), diagram
     return want
 
 

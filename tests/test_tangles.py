@@ -5,11 +5,16 @@ import re
 
 import pytest
 
-from pullcalc.diagrams.taffy import STROKE_WIDTH
+from pullcalc.diagrams.taffy import STROKE_WIDTH, _fmt, _Numbers, _svg
 from pullcalc.diagrams.tangles import (
+    GAP,
     TANGLE_CAP,
+    TILE,
+    _HANDLE,
     Crossing,
     TangleDiagram,
+    _along,
+    _eps,
     build_tangle,
     render_tangle_svg,
 )
@@ -202,3 +207,114 @@ def test_flipping_every_twist_transposes_the_drawing():
                 assert flipped == (sign_cls, other[position], sign, [
                     (cls, [(y, x) for x, y in points]) for cls, points in curves
                 ])
+
+
+# --- the per-point writer the group templates replaced ---------------------------
+
+def _lerp(a, b, t):
+    return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
+
+
+def _split(bez, t):
+    p0, p1, p2, p3 = bez
+    a = _lerp(p0, p1, t)
+    b = _lerp(p1, p2, t)
+    c = _lerp(p2, p3, t)
+    d = _lerp(a, b, t)
+    e = _lerp(b, c, t)
+    f = _lerp(d, e, t)
+    return (p0, a, d, f), (f, e, c, p3)
+
+
+def reference_render_tangle_svg(diagram):
+    """The tangle SVG written point by point: each twist splits its under
+    curve in two dimensions and formats all twelve points on their own."""
+    num = _Numbers()
+    stroke = 'fill="none" stroke="#203050" stroke-width="%s" stroke-linecap="round"' % num[STROKE_WIDTH]
+    pad = 2.0 * STROKE_WIDTH + 2.0
+
+    def pt(p):
+        return "%s %s" % (num[p[0] + pad], num[p[1] + pad])
+
+    def pt_swapped(p):
+        return "%s %s" % (num[p[1] + pad], num[p[0] + pad])
+
+    def curve_path(bez, cls, write):
+        p0, p1, p2, p3 = bez
+        return '<path class="%s" d="M %s C %s, %s, %s" %s/>' % (
+            cls, write(p0), write(p1), write(p2), write(p3), stroke,
+        )
+
+    w = h = TILE
+    body = [
+        '<path class="strand" d="M %s L %s" %s/>' % (pt((0.0, 0.0)), pt((TILE, 0.0)), stroke),
+        '<path class="strand" d="M %s L %s" %s/>' % (pt((0.0, TILE)), pt((TILE, TILE)), stroke),
+    ]
+    hd = _HANDLE * TILE
+    along = 1.5 * (TILE - hd)
+    for crossing in diagram.crossings:
+        if crossing.position == "right-side":
+            a0, span, write = w, h, pt
+            w += TILE
+        else:
+            a0, span, write = h, w, pt_swapped
+            h += TILE
+        a1 = a0 + TILE
+        keep = ((a0, 0.0), (a0 + hd, 0.0), (a1 - hd, span), (a1, span))
+        from_se = ((a0, span), (a0 + hd, span), (a1 - hd, 0.0), (a1, 0.0))
+        over, under = (from_se, keep) if crossing.sign > 0 else (keep, from_se)
+        eps = max(0.02, (GAP / 2.0) / (along * along + 2.25 * span * span) ** 0.5)
+        first, _ = _split(under, 0.5 - eps)
+        _, second = _split(under, 0.5 + eps)
+        sign_cls = "positive" if crossing.sign > 0 else "negative"
+        body.append('<g class="crossing %s %s" data-sign="%d">' % (sign_cls, crossing.position, crossing.sign))
+        body.append(curve_path(first, "under", write))
+        body.append(curve_path(second, "under", write))
+        body.append(curve_path(over, "over", write))
+        body.append("</g>")
+    for label, (ex, ey) in sorted(diagram.endpoints.items()):
+        body.append(
+            '<circle class="end" data-corner="%s" cx="%s" cy="%s" r="%s" fill="#203050"/>'
+            % (label, num[ex * TILE + pad], num[ey * TILE + pad], num[STROKE_WIDTH * 1.5])
+        )
+    title = "rational tangle %s" % (tangle_number(diagram.twists),)
+    return _svg(w + 2.0 * pad, h + 2.0 * pad, title, body)
+
+
+def test_every_along_text_of_the_capped_domain_is_the_float_chains():
+    # every eps a span of the capped domain gives, at every tile start:
+    # the table's a0 + i and tail against _fmt of the per-point float
+    # chain (a right-side twist, its along axis the x of every point)
+    pad = 2.0 * STROKE_WIDTH + 2.0
+    hd = _HANDLE * TILE
+    tiles = [TILE * m for m in range(1, TANGLE_CAP + 2)]
+    epses = sorted({_eps(span) for span in tiles})
+    assert len(epses) == 2 and epses[0] == 0.02 and _eps(TILE) == epses[1]
+    for eps in epses:
+        table = _along(eps)
+        assert len(table) == 12
+        for a0 in tiles:
+            curve = ((a0, 0.0), (a0 + hd, 0.0), (a0 + TILE - hd, 0.0), (a0 + TILE, 0.0))
+            first, _ = _split(curve, 0.5 - eps)
+            _, second = _split(curve, 0.5 + eps)
+            want = [_fmt(x + pad) for x, _ in (*first, *second, *curve)]
+            assert ["%d%s" % (int(a0) + i, tail) for i, tail in table] == want, (eps, a0)
+
+
+def seeded_twists(seed, n):
+    rng = random.Random(seed)
+    return tuple(rng.randrange(4) for _ in range(n))
+
+
+@pytest.mark.parametrize("twists", [
+    *(pytest.param(seeded_twists(2800 + n, n), id="random-%d" % n) for n in (10, 300, 2000)),
+    pytest.param((0,) * 1000, id="all-V"),
+    pytest.param((1,) * 1000, id="all-H"),
+    pytest.param(seeded_twists(28, TANGLE_CAP), id="at-cap"),
+])
+def test_group_templates_write_the_per_point_bytes(twists):
+    d = build_tangle(twists)
+    got = render_tangle_svg(d).split("\n")
+    want = reference_render_tangle_svg(d).split("\n")
+    assert len(got) == len(want)
+    assert next(((k, g, w) for k, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
