@@ -135,7 +135,9 @@ def build_taffy(q: ExtRational) -> TaffyDiagram:
     track is placed above (or below) the whole stub band it serves, so
     each vertical runs monotonically from its stub to its track and
     entries sliding along the stub heights always pass under the
-    verticals already placed.
+    verticals already placed.  Each unit is laid out by its corner
+    points in that l >= r frame, and one map, ``at``, mirrors and flips
+    every corner and rainbow centre into place.
     """
     if abs(q.num) + q.den > TAFFY_CAP:
         raise ValueError("taffy diagrams are capped at %d layers" % TAFFY_CAP)
@@ -147,13 +149,17 @@ def build_taffy(q: ExtRational) -> TaffyDiagram:
     big_d = 2 * t + 6
     gl, gr = t + 3, 3 * t + 9
     w, arm = divmod(l - r, 2)  # hairpins round the middle peg, and its arm
-    x0, xs = (2 * big_d, -1) if mirror else (0, 1)  # x -> x0 + xs * x
-    ys = -1 if flip else 1  # y -> ys * y
+    x0, xs = (2 * big_d, -1) if mirror else (0, 1)
+    ys = -1 if flip else 1
     west, east = ("east", "west") if mirror else ("west", "east")  # rainbow bulges
     top = not flip  # rainbows start at their top pole
 
-    def seg(x1, y1, x2, y2):
-        return Segment((float(x0 + xs * x1), float(ys * y1)), (float(x0 + xs * x2), float(ys * y2)))
+    def at(x, y):  # the one orientation map: mirrored, then flipped
+        return (float(x0 + xs * x), float(ys * y))
+
+    def path(*xy):  # segments through the corners (x, y), (x, y), ...
+        corners = list(map(at, xy[::2], xy[1::2]))
+        return list(map(Segment, corners, corners[1:]))
 
     def s(i):  # left stub heights, top to bottom
         return l + 1 - 2 * i
@@ -167,16 +173,17 @@ def build_taffy(q: ExtRational) -> TaffyDiagram:
         # rainbows round peg number ``peg`` from the n stubs at x = gap,
         # plus the arm from the middle stub to the peg's rim at x = tip
         x = peg * big_d
+        centre = at(x, 0)
         for i in range(1, n // 2 + 1):
             h = n + 1 - 2 * i
             pieces = [
-                seg(gap, h, x, h),
-                HalfCircle((float(x0 + xs * x), 0.0), float(h), bulge, top),
-                seg(x, -h, gap, -h),
+                Segment(at(gap, h), at(x, h)),
+                HalfCircle(centre, float(h), bulge, top),
+                Segment(at(x, -h), at(gap, -h)),
             ]
             units.append((pieces, (key, i), (key, n + 1 - i)))
         if n % 2:
-            units.append(([seg(gap, 0, tip, 0)], (key, (n + 1) // 2), ("peg", peg)))
+            units.append(([Segment(at(gap, 0), at(tip, 0))], (key, (n + 1) // 2), ("peg", peg)))
 
     outer(l, "left", 0, gl, west, PEG_RADIUS)
     outer(r, "right", 2, gr, east, 2 * big_d - PEG_RADIUS)
@@ -186,13 +193,7 @@ def build_taffy(q: ExtRational) -> TaffyDiagram:
         hw, he = s(i), r + 1 - 2 * i
         col, ecol = gl + i, gr - i
         track = p0 + (r - i) + 0.5
-        pieces = [
-            seg(gl, hw, col, hw),
-            seg(col, hw, col, track),
-            seg(col, track, ecol, track),
-            seg(ecol, track, ecol, he),
-            seg(ecol, he, gr, he),
-        ]
+        pieces = path(gl, hw, col, hw, col, track, ecol, track, ecol, he, gr, he)
         units.append((pieces, ("left", i), ("right", i)))
 
     # hairpins around the middle peg for the surplus, outermost first
@@ -203,29 +204,17 @@ def build_taffy(q: ExtRational) -> TaffyDiagram:
         track = base + (w - j) + 1.5
         bot_track = hw_ - 0.5
         ecol = big_d + arm + (w - j + 1)
-        pieces = [
-            seg(gl, hu, a, hu),
-            seg(a, hu, a, track),
-            seg(a, track, ecol, track),
-            seg(ecol, track, ecol, bot_track),
-            seg(ecol, bot_track, b, bot_track),
-            seg(b, bot_track, b, hw_),
-            seg(b, hw_, gl, hw_),
-        ]
+        pieces = path(gl, hu, a, hu, a, track, ecol, track, ecol, bot_track, b, bot_track, b, hw_, gl, hw_)
         units.append((pieces, ("left", top_i), ("left", bot_i)))
 
     # odd surplus: one arm lands on the middle peg
     if arm:
         i = r + w + 1
         if r == 0:
-            pieces = [seg(gl, 0, big_d - PEG_RADIUS, 0)]
+            pieces = path(gl, 0, big_d - PEG_RADIUS, 0)
         else:
             col = gl + i
-            pieces = [
-                seg(gl, -r, col, -r),
-                seg(col, -r, col, 0),
-                seg(col, 0, big_d - PEG_RADIUS, 0),
-            ]
+            pieces = path(gl, -r, col, -r, col, 0, big_d - PEG_RADIUS, 0)
         units.append((pieces, ("left", i), ("peg", 1)))
 
     pegs = ((0.0, 0.0), (float(big_d), 0.0), (2.0 * big_d, 0.0))
