@@ -1,9 +1,11 @@
 """Command line front end.
 
 Each subcommand is a thin shim over one library call that returns its
-result and writes nothing; ``main`` alone turns that result into text,
-JSON-encoding it under ``--json``, and prints it or writes it to ``-o``.
-Stdout and ``-o`` get the same bytes, ending in exactly one newline.
+result and writes nothing.  A fraction-or-word argument is read by
+``_fraction_or_word`` alone.  ``main`` alone turns the result into
+text, JSON-encoding it under ``--json``, and writes it with one
+``write`` to stdout or to ``-o``, so both get the same bytes, ending in
+exactly one newline.
 The SVG subcommands take ``-o`` (default stdout) and never ``--json``.
 Usage errors exit 2, domain errors (bad fraction, unparsable word,
 depth cap, an answer too long to write, unwritable ``-o``) exit 1,
@@ -29,27 +31,22 @@ _FRACTION_START = re.compile(r"\s*-?\d")
 
 
 def _fraction_or_word(text: str):
-    """A fraction ("9/7", "-2") or a turn word ("R^2 L"), by how it starts.
+    """A fraction ("9/7", "-2") or a turn word ("R^2 L"), by how it
+    starts, as ``(q, word)``: the fraction and None, or the word's taffy
+    number and the word.
 
     Text that starts like a fraction, with a digit or a minus sign
     (which no word can start with), is read as a fraction alone, so a
     bad fraction is reported as one.
     """
     if _FRACTION_START.match(text):
-        return parse_fraction(text)
-    return words.parse_word(text)
-
-
-def _value_of(text: str) -> ExtRational:
-    """The fraction that a fraction or a turn word names."""
-    value = _fraction_or_word(text)
-    if isinstance(value, ExtRational):
-        return value
-    return treewalk.taffy_number(value)
+        return parse_fraction(text), None
+    word = words.parse_word(text)
+    return treewalk.taffy_number(word), word
 
 
 def _refuse_unwritable_trace(word, size) -> None:
-    """Refuse a word if some entry of its ``number_trace`` has a
+    """Refuse a word if the (num, den) pair of some prefix has a
     ``size(num, den)``, a non-negative int, too long to write.
 
     The check reads the trace's pairs one at a time, keeps none of them
@@ -64,12 +61,14 @@ def _refuse_unwritable_trace(word, size) -> None:
                 raise ValueError("answer longer than %d digits" % limit)
 
 
-def _accept_negative_fractions(parser: argparse.ArgumentParser) -> None:
-    """Let "-7/9" through as a positional instead of an unknown flag.
+def _accept_negative_fractions(parser: argparse.ArgumentParser, name: str, help=None) -> None:
+    """Add the fraction positional ``name``, and let "-7/9" through as
+    it instead of as an unknown flag.
 
     argparse only waves plain negative numbers past the option scanner,
     so subcommands with fraction arguments widen its matcher.
     """
+    parser.add_argument(name, help=help)
     parser._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
 
 
@@ -97,10 +96,10 @@ def _cmd_eval(args):
         }
     if args.trace:
         _refuse_unwritable_trace(word, lambda a, b: max(abs(a), b))
-        trace = treewalk.number_trace(word)
         # the empty word spells "e", which zip drops: its trace is the seed alone
         steps = ["start"] + words.format_word(word).split()
-        return "\n".join("%-5s %s" % pair for pair in zip(steps, trace))
+        pairs = zip(steps, treewalk._prefix_pairs(word))
+        return "\n".join("%-5s %d/%d" % (step, a, b) for step, (a, b) in pairs)
     return treewalk.taffy_number(word)
 
 
@@ -144,11 +143,8 @@ def _cmd_layers(args):
 
 
 def _cmd_cf(args):
-    value = _fraction_or_word(args.value)
-    if isinstance(value, ExtRational):
-        q, coeffs = value, cf_expand(value)
-    else:
-        q, coeffs = treewalk.taffy_number(value), treewalk.word_to_cf(value)
+    q, word = _fraction_or_word(args.value)
+    coeffs = cf_expand(q) if word is None else treewalk.word_to_cf(word)
     if args.json:
         return {"coefficients": list(coeffs), "value": _frac(q)}
     return format_cf(coeffs)
@@ -211,7 +207,8 @@ def _cmd_tangle_eval(args):
 def _cmd_render_taffy(args):
     from .diagrams import build_taffy, render_taffy_svg
 
-    return render_taffy_svg(build_taffy(_value_of(args.value)))
+    q, _ = _fraction_or_word(args.value)
+    return render_taffy_svg(build_taffy(q))
 
 
 def _cmd_render_tangle(args):
@@ -248,29 +245,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("invert", parents=[jsonish], help="canonical word reaching a fraction")
-    p.add_argument("fraction")
+    _accept_negative_fractions(p, "fraction")
     p.add_argument("--mode", choices=("slow", "fast"), default="fast",
                    help="subtractive or division-based Euclid (default fast)")
     p.set_defaults(handler=_cmd_invert)
-    _accept_negative_fractions(p)
 
     p = sub.add_parser("layers", parents=[jsonish], help="left/right layer counts of a word")
     p.add_argument("word")
     p.set_defaults(handler=_cmd_layers)
 
     p = sub.add_parser("cf", parents=[jsonish], help="continued fraction of a fraction or word")
-    p.add_argument("value")
+    _accept_negative_fractions(p, "value")
     p.set_defaults(handler=_cmd_cf)
-    _accept_negative_fractions(p)
 
     p = sub.add_parser("tree", parents=[jsonish], help="one row of the Calkin-Wilf tree")
     p.add_argument("row", type=int, help="row number, 1 to %d" % analysis.DEPTH_CAP)
     p.set_defaults(handler=_cmd_tree)
 
     p = sub.add_parser("children", parents=[jsonish], help="four-way tree children of a fraction")
-    p.add_argument("fraction")
+    _accept_negative_fractions(p, "fraction")
     p.set_defaults(handler=_cmd_children)
-    _accept_negative_fractions(p)
 
     p = sub.add_parser("maxlayers", parents=[jsonish], help="largest total layer count for a length")
     p.add_argument("length", type=int)
@@ -287,10 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_tangle_eval)
 
     p = sub.add_parser("render-taffy", help="SVG diagram of a pulled strand")
-    p.add_argument("value", help="fraction or turn word")
+    _accept_negative_fractions(p, "value", help="fraction or turn word")
     p.add_argument("-o", "--output", default="-", help="file path, or - for stdout")
     p.set_defaults(handler=_cmd_render_taffy)
-    _accept_negative_fractions(p)
 
     p = sub.add_parser("render-tangle", help="SVG diagram of a rational tangle")
     p.add_argument("word", help="twist word in V/H notation")
@@ -326,11 +319,9 @@ def main(argv=None) -> int:
             text = json.dumps(result)
         else:
             text = str(result)
-        if args.output == "-":
-            print(text)
-        else:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+        with (contextlib.nullcontext(sys.stdout) if args.output == "-"
+              else open(args.output, "w", encoding="utf-8")) as out:
+            out.write(text + "\n")
     except (ValueError, RuntimeError, OSError) as exc:
         print("pullcalc: %s" % _message(exc), file=sys.stderr)
         return 1

@@ -29,11 +29,13 @@ class _TangleDiagram(NamedTuple):
 
 
 class TangleDiagram(_TangleDiagram):
-    """A tangle diagram is its twist word; the crossings are read off it."""
+    """A tangle diagram is its twist word, read once into a tuple; the
+    crossings are read off it."""
 
     __slots__ = ()
 
     def __new__(cls, twists):
+        twists = tuple(twists)
         for t in twists:
             if t not in (0, 1, 2, 3):
                 raise ValueError("bad twist code %r" % (t,))
@@ -75,7 +77,7 @@ def build_tangle(twists) -> TangleDiagram:
         count = len(twists)
     if count > TANGLE_CAP:
         raise ValueError("tangle diagrams are capped at %d twists" % TANGLE_CAP)
-    return TangleDiagram(tuple(twists))
+    return TangleDiagram(twists)
 
 
 # --- rendering ----------------------------------------------------------------

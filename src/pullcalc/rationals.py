@@ -92,15 +92,19 @@ def digit_limit() -> int:
 def _integer(digits: str, what: str) -> int:
     """int() of a run of decimal digits, a fraction's term or an exponent.
 
-    Leading zeros aside, more digits than ``sys.get_int_max_str_digits()``
-    are refused, as ``what`` longer than that many digits, before int()
-    is asked, which would refuse them with advice meant for the
-    programmer.
+    Leading zeros aside, in any script, more digits than
+    ``sys.get_int_max_str_digits()`` are refused, as ``what`` longer
+    than that many digits, before int() is asked, which would refuse
+    them with advice meant for the programmer.
     """
     digits = digits.lstrip("0")
     limit = digit_limit()
     if limit and len(digits) > limit:
-        raise ValueError("%s longer than %d digits" % (what, limit))
+        # a zero of another script (Arabic-Indic, fullwidth, ...) leads no value either
+        first = next((i for i, d in enumerate(digits) if int(d)), len(digits))
+        digits = digits[first:]
+        if len(digits) > limit:
+            raise ValueError("%s longer than %d digits" % (what, limit))
     return int(digits or "0")
 
 

@@ -119,6 +119,16 @@ def test_parse_leading_zeros_do_not_count_toward_the_exponent():
     assert parse_word("L^-" + "0" * 5000 + "2") == (L_INV, L_INV)
 
 
+@pytest.mark.parametrize("zero", ["\u0660", "\uff10"], ids=["arabic-indic", "fullwidth"])
+def test_parse_leading_zeros_of_any_script_do_not_count_toward_the_exponent(zero):
+    one, two = chr(ord(zero) + 1), chr(ord(zero) + 2)
+    assert parse_word("R^" + zero * 5000 + one) == (R,)
+    assert parse_word("L^-" + (zero + "0") * 2500 + two) == (L_INV, L_INV)
+    with pytest.raises(WordSyntaxError) as exc:
+        parse_word("R^" + zero * 10 + one * 5000)
+    assert str(exc.value) == "exponent longer than %d digits at offset 2" % digit_limit()
+
+
 def test_eval_of_an_exponent_too_long_to_convert_names_its_offset():
     result = run(["eval", "R^" + "1" * 5000])
     assert result.exit_code == 1
