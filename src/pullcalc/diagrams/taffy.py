@@ -6,7 +6,8 @@ the right gap line ``right`` times, where ``right/left`` is the target
 number in lowest terms.  ``verify_taffy`` re-measures those counts
 from the raw geometry and checks that the strand is one embedded arc
 with both ends on pegs, so the builder never gets to grade its own
-homework.
+homework.  One walk, ``_walk``, reads each piece once for the counts,
+the chaining, the peg clearance and the parts of the sweep below.
 
 The embedding check is a Shamos-Hoey plane sweep (FOCS 1976) on the
 exact predicates of ``geometry``.  Each half circle is split at its
@@ -228,38 +229,75 @@ def rotate_taffy(d: TaffyDiagram) -> TaffyDiagram:
     return TaffyDiagram(d.pegs, strand, LayerCounts(right=d.counts.left, left=d.counts.right))
 
 
-def _parts(pieces):
-    """The strand as flat x-monotone parts.
+def _walk(pegs, rho, pieces):
+    """Read each grid piece once: (left, right, chained, clear, parts).
 
-    A part is (start, end, i, piece, ylo, yhi, t, u, v, w): start is
-    the lexicographically smaller end, i the index of ``piece`` in the
+    ``left`` and ``right`` count the gap lines' crossings: the strand's
+    sample points (each piece's ends in path order, and each arc's
+    sideways extreme) change sides of a line once per crossing, points
+    on it skipped.  ``chained``: each piece starts where the last ends.
+    ``clear``: no piece comes within rho of a peg; only a piece whose
+    box comes that close can, so ``comes_within`` decides just those.
+
+    ``parts`` is the strand as flat x-monotone parts for the sweep.  A
+    part is (start, end, i, piece, ylo, yhi, t, u, v, w): start is the
+    lexicographically smaller end, i the index of ``piece`` in the
     strand, [ylo, yhi] its y range, and t, u, v, w the coefficients of
     its side test (see ``_side``).  A segment is one part with t = 0,
-    u, v = end - start and w = u * y1 - v * x1.  A half circle is split
-    at its equator into an upper quarter (t = -1) and a lower one
-    (t = 1), with u, v = cx, cy and w = r * r, so each quarter is the
-    graph of y = cy - t * sqrt(r*r - (x - cx)**2).
+    u, v = end - start and w = u * sy - v * sx, start = (sx, sy).  A
+    half circle is split at its equator into an upper quarter (t = -1)
+    and a lower one (t = 1), with u, v = cx, cy and w = r * r, so each
+    quarter is the graph of y = cy - t * sqrt(r*r - (x - cx)**2).
     """
+    gl = (pegs[0][0] + pegs[1][0]) // 2
+    gr = (pegs[1][0] + pegs[2][0]) // 2
+    clear = chained = bool(pieces)
+    end = pieces[0].start if pieces else None
+    left = right = sl = sr = 0  # sl, sr: the side of gl, gr the last sample off it was on
+    peg_ys = [py for _, py in pegs]
+    ylo, yhi = min(peg_ys) - rho, max(peg_ys) + rho  # a piece outside clears every peg
     parts = []
     for i, piece in enumerate(pieces):
-        if isinstance(piece, Segment):
-            a, b = piece
-            if b < a:
-                a, b = b, a
-            (x1, y1), (x2, y2) = a, b
-            u, v = x2 - x1, y2 - y1
-            ylo, yhi = (y1, y2) if v >= 0 else (y2, y1)
-            parts.append((a, b, i, piece, ylo, yhi, 0, u, v, u * y1 - v * x1))
-            continue
-        (cx, cy), r, side, _ = piece
-        equator = (cx - r if side == "west" else cx + r, cy)
-        rr = r * r
-        for t in (-1, 1):
-            pole = (cx, cy - t * r)
-            a, b = (equator, pole) if equator < pole else (pole, equator)
-            ylo, yhi = (cy, cy + r) if t < 0 else (cy - r, cy)
-            parts.append((a, b, i, piece, ylo, yhi, t, cx, cy, rr))
-    return parts
+        if isinstance(piece, HalfCircle):
+            (cx, cy), r, side, top = piece
+            ex = cx - r if side == "west" else cx + r
+            xs = (cx, ex, cx)
+            x0, x1 = min(cx, ex), max(cx, ex)
+            y0, y1 = cy - r, cy + r
+            north, south = (cx, y1), (cx, y0)
+            start, stop = (north, south) if top else (south, north)
+            equator, rr = (ex, cy), r * r
+            for t, pole, lo, hi in ((-1, north, cy, y1), (1, south, y0, cy)):
+                a, b = (equator, pole) if equator < pole else (pole, equator)
+                parts.append((a, b, i, piece, lo, hi, t, cx, cy, rr))
+        else:
+            start, stop = piece
+            xs = (start[0], stop[0])
+            a, b = (stop, start) if stop < start else (start, stop)
+            (x0, ya), (x1, yb) = a, b
+            u, v = x1 - x0, yb - ya
+            y0, y1 = (ya, yb) if v >= 0 else (yb, ya)
+            parts.append((a, b, i, piece, y0, y1, 0, u, v, u * ya - v * x0))
+        chained = chained and start == end
+        end = stop
+        for x in xs:  # a change of side counts 1, the first side seen 0
+            if x < gl and sl >= 0:
+                left += sl
+                sl = -1
+            elif x > gl and sl <= 0:
+                left -= sl
+                sl = 1
+            if x < gr and sr >= 0:
+                right += sr
+                sr = -1
+            elif x > gr and sr <= 0:
+                right -= sr
+                sr = 1
+        if clear and y0 < yhi and ylo < y1:
+            for px, py in pegs:
+                if x0 - rho < px < x1 + rho and y0 - rho < py < y1 + rho:
+                    clear = clear and not comes_within(piece, (px, py), rho)
+    return left, right, chained, clear, parts
 
 
 def _side(part, x, y) -> int:
@@ -306,17 +344,18 @@ def _clash(a, b) -> bool:
     return not (j == i + 1 and count == 1 and a[3].end == b[3].start)
 
 
-def _no_self_crossings(pieces) -> bool:
+def _no_self_crossings(pieces, parts) -> bool:
     """Is every contact of two pieces the joint of consecutive pieces?
 
-    A Shamos-Hoey sweep over x-monotone parts narrows the pairs that
-    ``_clash`` decides.  Events are the part ends in (x, y) order, which
-    shears the sweep so that a vertical runs from its lower end to its
-    upper end.  ``active`` holds a cell [part, cell below, cell above]
-    for each part that crosses the sweep, bottom to top, and ``held``
-    maps a part's end to its cell.  Each pair that becomes adjacent is
-    tested, so the first contact that is not a joint is tested no later
-    than the sweep reaches it, before the order could go wrong.
+    A Shamos-Hoey sweep over the x-monotone ``parts`` that ``_walk`` lays
+    out narrows the pairs that ``_clash`` decides.  Events are the part
+    ends in (x, y) order, which shears the sweep so that a vertical runs
+    from its lower end to its upper end.  ``active`` holds a cell [part,
+    cell below, cell above] for each part that crosses the sweep, bottom
+    to top, and ``held`` maps a part's end to its cell.  Each pair that
+    becomes adjacent is tested, so the first contact that is not a joint
+    is tested no later than the sweep reaches it, before the order could
+    go wrong.
 
     At a chain's interior vertex p a part a of piece i ends, and the one
     part that starts, b, is of piece i - 1 or i + 1, whose joint with
@@ -350,7 +389,6 @@ def _no_self_crossings(pieces) -> bool:
     which spans its x, and one side test orders them.  Every order the
     sweep keeps thus comes from ``_side``.
     """
-    parts = _parts(pieces)
     starting = {}
     points = set()
     for part in parts:
@@ -458,56 +496,15 @@ def verify_taffy(diagram: TaffyDiagram) -> TaffyReport:
     the integer grid too.  From there every decision is a sign test on
     Python ints.
 
-    One walk reads each piece once.  It counts both gap lines: the
-    strand's sample points (piece ends, and each arc's sideways extreme)
-    change sides of a line once per crossing, points on it skipped.  It
-    checks that each piece starts where the last ends.  And only a piece
-    whose box comes within the peg radius of a peg can come that close,
-    so ``comes_within`` decides just those.  The plane sweep (see the
-    module docstring) then narrows the pairs of pieces that may touch
-    with O(n log n) sign tests, and ``piece_intersections`` decides each.
+    One walk, ``_walk``, reads each grid piece once: it counts both gap
+    lines, checks that each piece starts where the last ends, checks
+    peg clearance and lays out the sweep's x-monotone parts.  The plane
+    sweep (see the module docstring) then narrows the pairs of pieces
+    that may touch with O(n log n) sign tests, and
+    ``piece_intersections`` decides each.
     """
     pegs, rho, pieces = _on_grid(diagram)
-    gl = (pegs[0][0] + pegs[1][0]) // 2
-    gr = (pegs[1][0] + pegs[2][0]) // 2
-
-    clear = chained = bool(pieces)
-    end = pieces[0].start if pieces else None
-    left = right = sl = sr = 0  # sl, sr: the side of gl, gr the last sample off it was on
-    peg_ys = [py for _, py in pegs]
-    ylo, yhi = min(peg_ys) - rho, max(peg_ys) + rho  # a piece outside clears every peg
-    for piece in pieces:
-        if isinstance(piece, HalfCircle):
-            (cx, cy), r, side, top = piece
-            x0, x1 = (cx - r, cx) if side == "west" else (cx, cx + r)
-            xs = (cx, x0 + x1 - cx, cx)
-            y0, y1 = cy - r, cy + r
-            start, stop = ((cx, y1), (cx, y0)) if top else ((cx, y0), (cx, y1))
-        else:
-            start, stop = piece
-            (x0, y0), (x1, y1) = piece
-            xs = (x0, x1)
-            x0, x1 = min(xs), max(xs)
-            y0, y1 = (y0, y1) if y0 < y1 else (y1, y0)
-        chained = chained and start == end
-        end = stop
-        for x in xs:  # a change of side counts 1, the first side seen 0
-            if x < gl and sl >= 0:
-                left += sl
-                sl = -1
-            elif x > gl and sl <= 0:
-                left -= sl
-                sl = 1
-            if x < gr and sr >= 0:
-                right += sr
-                sr = -1
-            elif x > gr and sr <= 0:
-                right -= sr
-                sr = 1
-        if clear and y0 < yhi and ylo < y1:
-            for px, py in pegs:
-                if x0 - rho < px < x1 + rho and y0 - rho < py < y1 + rho:
-                    clear = clear and not comes_within(piece, (px, py), rho)
+    left, right, chained, clear, parts = _walk(pegs, rho, pieces)
     ends_on_pegs = bool(pieces) and all(
         any((e[0] - px) ** 2 + (e[1] - py) ** 2 == rho * rho for px, py in pegs)
         for e in (pieces[0].start, pieces[-1].end)
@@ -518,7 +515,7 @@ def verify_taffy(diagram: TaffyDiagram) -> TaffyReport:
         measured=LayerCounts(right=right, left=left),
         single_arc=chained and pieces[0].start != pieces[-1].end,
         ends_on_pegs=ends_on_pegs,
-        embedded=clear and _no_self_crossings(pieces),
+        embedded=clear and _no_self_crossings(pieces, parts),
     )
 
 

@@ -140,10 +140,10 @@ def chain_vertices(diagram):
     At such a point exactly one part starts, it is not a point, and its
     piece meets the piece before or after it there, at their joint.
     """
-    pegs, _, pieces = taffy._on_grid(diagram)
+    pegs, rho, pieces = taffy._on_grid(diagram)
     k = pegs[1][0] / sorted(diagram.pegs)[1][0]
     starting = {}
-    for part in taffy._parts(pieces):
+    for part in taffy._walk(pegs, rho, pieces)[-1]:
         starting.setdefault(part[0], []).append(part)
     vertices = set()
     for p, (b, *others) in starting.items():
@@ -177,8 +177,8 @@ def test_the_sweep_searches_only_off_the_chains(monkeypatch):
         return side(part, x, y)
 
     monkeypatch.setattr(taffy, "_side", counted)
-    _, _, pieces = taffy._on_grid(build_taffy(make(233, 377)))
-    assert taffy._no_self_crossings(pieces)
+    pegs, rho, pieces = taffy._on_grid(build_taffy(make(233, 377)))
+    assert taffy._no_self_crossings(pieces, taffy._walk(pegs, rho, pieces)[-1])
     assert len(calls) < 6 * len(pieces)
 
 
@@ -233,7 +233,7 @@ def reference_walk_report(diagram):
         measured=LayerCounts(right=right, left=left),
         single_arc=chained and is_open,
         ends_on_pegs=ends_on_pegs,
-        embedded=clear and taffy._no_self_crossings(pieces),
+        embedded=clear and taffy._no_self_crossings(pieces, taffy._walk(pegs, rho, pieces)[-1]),
     ), clear
 
 

@@ -417,6 +417,19 @@ def test_render_taffy_svg_refuses_a_bad_diagram():
         render_taffy_svg(bad)
 
 
+def test_an_empty_strand_measures_nothing_and_is_refused_in_full():
+    empty = hand_diagram([], LayerCounts(right=0, left=0))
+    report = verify_taffy(empty)
+    assert report == (empty.counts, LayerCounts(right=0, left=0), False, False, False)
+    assert report.counts_match and not report.passes
+    message = (
+        "diagram fails verification: counts LayerCounts(right=0, left=0) vs "
+        "LayerCounts(right=0, left=0), single_arc=False, ends_on_pegs=False, embedded=False"
+    )
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        render_taffy_svg(empty)
+
+
 # --- randomized spot checks ------------------------------------------------------
 
 def test_random_fractions_round_trip_through_the_verifier():

@@ -58,7 +58,7 @@ def reference_report(diagram, verdict):
     quadratic scan's answer on the diagram's grid pieces (found once by
     the caller, not again here)."""
     sweep = taffy._no_self_crossings
-    taffy._no_self_crossings = lambda _: verdict
+    taffy._no_self_crossings = lambda pieces, parts: verdict
     try:
         return verify_taffy(diagram)
     finally:
@@ -71,9 +71,10 @@ def agreed_verdict(diagram) -> bool:
     The raw check is compared on the grid pieces as well as through the
     report, since the report skips it when a piece comes near a peg.
     """
-    _, _, pieces = taffy._on_grid(diagram)
+    pegs, rho, pieces = taffy._on_grid(diagram)
     want = reference_no_self_crossings(pieces)
-    assert taffy._no_self_crossings(pieces) == want, diagram
+    parts = taffy._walk(pegs, rho, pieces)[-1]
+    assert taffy._no_self_crossings(pieces, parts) == want, diagram
     assert verify_taffy(diagram) == reference_report(diagram, want), diagram
     return want
 
